@@ -200,8 +200,8 @@ inline constexpr int kSearchOptionsSchema = 1;
 [[nodiscard]] SearchOptions search_options_from_json(const std::string& text);
 
 /// Same codec for the simulator configuration that travels with a search
-/// (iterations, noise, fault model). record_trace / time_bound / metrics
-/// stay out: they are runtime wiring, not search identity.
+/// (iterations, noise, fault model). record_trace and metrics stay out:
+/// they are runtime wiring, not search identity.
 [[nodiscard]] std::string sim_options_to_json(const SimOptions& o);
 [[nodiscard]] SimOptions sim_options_from_json(const JsonValue& v);
 [[nodiscard]] SimOptions sim_options_from_json(const std::string& text);

@@ -44,7 +44,6 @@
 
 #include "src/machine/machine.hpp"
 #include "src/mapping/mapping.hpp"
-#include "src/sim/ready_wheel.hpp"
 #include "src/sim/report.hpp"
 #include "src/support/rng.hpp"
 #include "src/taskgraph/task_graph.hpp"
@@ -93,12 +92,6 @@ struct SimOptions {
   /// Record per-task/per-copy timeline events in the report (costs memory;
   /// off during search, on for visualization).
   bool record_trace = false;
-  /// Default simulated-time bound for run(): once the simulated clock
-  /// provably exceeds it, the run is abandoned and reported as *censored*
-  /// ("the makespan is >= this bound"). Infinity disables bounding. The
-  /// search layer uses per-call bounds derived from its incumbent instead
-  /// of this default (incumbent-bounded candidate pruning).
-  double time_bound = std::numeric_limits<double>::infinity();
   /// Deterministic fault injection; disabled by default.
   FaultModel faults;
   /// Raw simulator run counters (src/support/metrics.hpp). These count
@@ -113,7 +106,7 @@ struct SimOptions {
 class Simulator;
 
 /// Reusable per-worker scratch arena for Simulator::run. All per-run state
-/// (memory resolution, busy clocks, the report itself) lives here, so a
+/// (memory resolution, the execution plan, the reports) lives here, so a
 /// worker that evaluates thousands of candidates against one simulator
 /// allocates only on its first run (or when switching simulators) and runs
 /// allocation-free afterwards. A SimScratch may be reused across different
@@ -126,13 +119,6 @@ class SimScratch {
   SimScratch& operator=(const SimScratch&) = delete;
   SimScratch(SimScratch&&) = default;
   SimScratch& operator=(SimScratch&&) = default;
-
-  /// Reusable caller-side buffer for Simulator::run_repeats seed spans —
-  /// lives in the arena so steady-state multi-repeat evaluation allocates
-  /// nothing (the evaluator fills it per candidate and passes it back in).
-  [[nodiscard]] std::vector<std::uint64_t>& seed_buffer() {
-    return seed_buffer_;
-  }
 
  private:
   friend class Simulator;
@@ -160,7 +146,7 @@ class SimScratch {
     double base_dur = 0.0;
     double launch = 0.0;        // launch-overhead share of base_dur
     double energy_coeff = 0.0;  // energy per busy-second
-    std::uint32_t pool = 0;     // leader-node pool clock (ResourceClocks id)
+    std::uint32_t pool = 0;     // leader-node pool clock id
     std::uint8_t dist = 0;      // occupies every node (second pool clock)
     ProcKind proc = ProcKind::kCpu;
   };
@@ -179,7 +165,7 @@ class SimScratch {
     double bytes = 0.0;
     double energy = 0.0;  // per-byte copy energy charge
     std::uint64_t bytes_u64 = 0;
-    /// ResourceClocks id, or Simulator::kMissingChannel when the machine
+    /// Resource-clock id, or Simulator::kMissingChannel when the machine
     /// lacks the channel — raised lazily at execution time, because a leg
     /// on a cross-iteration edge may never execute.
     std::uint32_t resource = 0;
@@ -216,25 +202,15 @@ class SimScratch {
   /// mapping.hash() cached at begin_runs — every run's RNG seeding reuses it.
   std::uint64_t plan_hash_ = 0;
 
-  // Event-loop state.
-  ResourceClocks clocks_;
+  // Event-loop state: per-task finish times of the previous and the
+  // current iteration.
   std::vector<double> finish_prev_;
   std::vector<double> finish_cur_;
 
-  // Interleaved multi-repeat lane state (run_repeats). Finish arrays are
-  // [task][lane] so the lane-inner loops stream contiguously.
-  std::vector<double> lane_finish_a_;
-  std::vector<double> lane_finish_b_;
-  std::vector<double> lane_ready_;
-  std::vector<double> lane_arrival_;
-  std::vector<double> lane_makespan_;
-  std::vector<Rng> lane_rng_;
-  std::vector<Rng> lane_fault_rng_;
-  std::vector<std::uint8_t> lane_done_;
-  std::vector<ExecutionReport> lane_reports_;
-  std::vector<std::uint64_t> seed_buffer_;
-
+  /// The report of the last run(), run_prepared() or failed begin_runs().
   ExecutionReport report_;
+  /// One report per seed of the last run_repeats().
+  std::vector<ExecutionReport> repeat_reports_;
 };
 
 class Simulator {
@@ -243,35 +219,31 @@ class Simulator {
   Simulator(const MachineModel& machine, const TaskGraph& graph,
             SimOptions options = {});
 
-  /// Simulates one run. `seed` individualizes the noise; runs with equal
-  /// seeds and mappings are bit-identical. Convenience wrapper around the
-  /// scratch-based overload (allocates a fresh arena per call).
+  /// Simulates one unbounded run. `seed` individualizes the noise; runs
+  /// with equal seeds and mappings are bit-identical. Convenience wrapper
+  /// around the scratch-based overload (allocates a fresh arena per call).
   [[nodiscard]] ExecutionReport run(const Mapping& mapping,
                                     std::uint64_t seed) const;
 
   /// Fast path: simulates one run using `scratch` for all per-run state and
-  /// returns a reference to the report held inside it. The reference stays
-  /// valid until the next run with the same arena. Uses
-  /// SimOptions::time_bound.
-  const ExecutionReport& run(const Mapping& mapping, std::uint64_t seed,
-                             SimScratch& scratch) const;
-
-  /// As above with an explicit simulated-time bound: the event loop aborts
-  /// as soon as any task provably finishes after `time_bound`, returning a
-  /// report with `censored = true` whose `total_seconds` holds the clock
-  /// value that crossed the bound (a lower bound on the true makespan).
-  /// The abort predicate is exact — a run is censored if and only if its
-  /// unbounded makespan strictly exceeds the bound — so bounded and
-  /// unbounded runs of the same (mapping, seed) agree on everything up to
-  /// the abort point.
+  /// returns a reference to the report held inside it, valid until the next
+  /// run with the same arena. The event loop aborts as soon as any task
+  /// provably finishes after `time_bound`, returning a report with
+  /// `censored = true` whose `total_seconds` holds the clock value that
+  /// crossed the bound (a lower bound on the true makespan). The abort
+  /// predicate is exact — a run is censored if and only if its unbounded
+  /// makespan strictly exceeds the bound — so bounded and unbounded runs of
+  /// the same (mapping, seed) agree on everything up to the abort point.
+  /// Pass infinity to run unbounded.
   const ExecutionReport& run(const Mapping& mapping, std::uint64_t seed,
                              SimScratch& scratch, double time_bound) const;
 
   /// Prepares `scratch` for a *run sequence* over one mapping: validates
   /// the mapping and resolves memory placement once — both are noise-
   /// independent, so one pass serves every subsequent repeat. Returns false
-  /// when the mapping is invalid or runs out of memory (scratch.report()
-  /// then describes the failure and no runs are possible). On success,
+  /// when the mapping is invalid or runs out of memory (the arena's report
+  /// then describes the failure and no runs are possible; an out-of-memory
+  /// placement counts as one failed run in the run counters). On success,
   /// run_prepared() simulates individual runs against the cached
   /// resolution without re-validating or re-resolving.
   bool begin_runs(const Mapping& mapping, SimScratch& scratch) const;
@@ -284,17 +256,11 @@ class Simulator {
                                       std::uint64_t seed, SimScratch& scratch,
                                       double time_bound) const;
 
-  /// Batch-interleaved multi-repeat simulation: simulates one run per seed
-  /// in a *single* pass over the task graph — one traversal of the
-  /// precomputed plan with seeds.size() parallel clock lanes, instead of
-  /// re-walking the graph per repeat. Each lane r is bit-identical to
-  /// run_prepared(mapping, seeds[r], scratch, time_bound): per-lane RNG
-  /// streams draw in the same order, per-lane resource clocks evolve
-  /// identically, and a lane that crosses the bound (or crashes under fault
-  /// injection) terminates exactly where its sequential run would, making
-  /// no further draws. Requires a successful begin_runs(mapping, scratch);
-  /// the returned span (one report per seed, in seed order) stays valid
-  /// until the next run on the same arena.
+  /// Multi-repeat simulation: one run per seed, each exactly
+  /// run_prepared(mapping, seeds[r], scratch, time_bound). Requires a
+  /// successful begin_runs(mapping, scratch); the returned span (one report
+  /// per seed, in seed order) stays valid until the next run_repeats on the
+  /// same arena.
   std::span<const ExecutionReport> run_repeats(
       const Mapping& mapping, std::span<const std::uint64_t> seeds,
       SimScratch& scratch,
@@ -340,7 +306,7 @@ class Simulator {
     bool present = false;
   };
 
-  // Flat resource-clock id space (ResourceClocks): two pool clocks per
+  // Flat resource-clock id space: two pool clocks per
   // processor kind (leader node / other nodes), one clock per intra-node
   // (src, dst) channel, and the shared network serialization point.
   static constexpr std::uint32_t kPoolClockBase = 0;
@@ -366,9 +332,10 @@ class Simulator {
   void build_plan(const Mapping& mapping, SimScratch& scratch) const;
 
   /// The event loop proper: one simulated run against the plan held in
-  /// `scratch`. Fills scratch.report_.
-  void simulate(const Mapping& mapping, std::uint64_t seed,
-                double time_bound, SimScratch& scratch) const;
+  /// `scratch`, written into `report` (an arena-held report whose vectors
+  /// keep their capacity from run to run).
+  void simulate(std::uint64_t seed, double time_bound, SimScratch& scratch,
+                ExecutionReport& report) const;
 
   /// (Re)sizes the arena for this simulator and clears per-run state.
   void prepare(SimScratch& scratch) const;

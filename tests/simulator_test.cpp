@@ -9,6 +9,7 @@
 #include "src/mapping/mapping.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/error.hpp"
+#include "src/support/metrics.hpp"
 #include "src/taskgraph/task_graph.hpp"
 
 namespace automap {
@@ -140,6 +141,21 @@ TEST(Simulator, OomDetectedWhenCollectionExceedsFrameBuffer) {
   EXPECT_NE(report.failure.find("out of memory"), std::string::npos);
   EXPECT_TRUE(std::isinf(sim.mean_total_seconds(
       app.map(ProcKind::kGpu, MemKind::kFrameBuffer), 1, 3)));
+}
+
+TEST(Simulator, OomRunCountsAsOneFailedRun) {
+  SingleTask app(/*elements=*/3ull << 30);  // 24 GiB > 16 GiB Frame-Buffer
+  const MachineModel machine = make_shepard(1);
+  MetricsRegistry metrics;
+  Simulator sim(machine, app.g, {.metrics = &metrics});
+  const auto report =
+      sim.run(app.map(ProcKind::kGpu, MemKind::kFrameBuffer), 1);
+  ASSERT_FALSE(report.ok);
+  EXPECT_NE(report.failure.find("out of memory"), std::string::npos);
+  EXPECT_EQ(metrics.counter("automap_sim_runs_total", "")->value(), 1u);
+  EXPECT_EQ(metrics.counter("automap_sim_runs_failed_total", "")->value(), 1u);
+  EXPECT_EQ(metrics.counter("automap_sim_runs_censored_total", "")->value(),
+            0u);
 }
 
 TEST(Simulator, DistributionSplitsFootprintAcrossNodes) {
