@@ -73,7 +73,7 @@ grep "best mapping" "$DIR/cached.txt" > "$DIR/cached.line"
 cmp "$DIR/cached.line" "$DIR/oneshot.line"
 test "$(sim_runs)" = "$RUNS_BEFORE"
 "$CLIENT" stats --socket "$SOCK" \
-  | awk '$1 == "automap_service_result_cache_hits_total" { exit !($2 >= 1) }'
+  | awk '$1 == "automap_service_result_cache_hits_total" { ok = $2 >= 1 } END { exit !ok }'
 
 # Journal streaming reconstructs a well-formed JSONL provenance stream.
 "$CLIENT" journal 1 --socket "$SOCK" > "$DIR/journal.jsonl"
@@ -260,7 +260,7 @@ s.close()
 EOF
 "$CLIENT" ping --socket "$SOCK" | grep -q "pong"
 "$CLIENT" stats --socket "$SOCK" \
-  | awk '$1 == "automap_service_io_timeouts_total" { exit !($2 >= 1) }'
+  | awk '$1 == "automap_service_io_timeouts_total" { ok = $2 >= 1 } END { exit !ok }'
 
 # Backpressure + request deadline: the queue holds one job (workers 0),
 # so a second distinct submission is refused with the structured
