@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "src/support/error.hpp"
+#include "src/support/line_reader.hpp"
 
 namespace automap::cli {
 
@@ -21,16 +22,16 @@ std::string Args::value_or(const std::string& flag,
 }
 
 int Args::int_or(const std::string& flag, int fallback) const {
-  return has(flag) ? std::stoi(value_or(flag)) : fallback;
+  return has(flag) ? to_int<int>(value_or(flag), flag) : fallback;
 }
 
 double Args::num_or(const std::string& flag, double fallback) const {
-  return has(flag) ? std::stod(value_or(flag)) : fallback;
+  return has(flag) ? to_double(value_or(flag), flag) : fallback;
 }
 
 std::uint64_t Args::u64_or(const std::string& flag,
                            std::uint64_t fallback) const {
-  return has(flag) ? std::stoull(value_or(flag)) : fallback;
+  return has(flag) ? to_int<std::uint64_t>(value_or(flag), flag) : fallback;
 }
 
 void CommandRegistry::add(Command command) {

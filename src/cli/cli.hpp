@@ -27,9 +27,9 @@ struct FlagSpec {
 };
 
 /// Parsed invocation of one command: positional arguments in order plus
-/// the flag values seen. Numeric accessors parse eagerly and let the
-/// std:: exceptions escape — the tools' top-level handler turns them into
-/// the usual one-line "error:" diagnostic.
+/// the flag values seen. Numeric accessors parse eagerly with the checked
+/// conversions of src/support/line_reader.hpp; the Error naming the flag
+/// becomes the tools' usual one-line "error:" diagnostic.
 class Args {
  public:
   [[nodiscard]] const std::vector<std::string>& positional() const {

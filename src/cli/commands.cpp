@@ -21,6 +21,7 @@
 #include "src/support/durable.hpp"
 #include "src/support/error.hpp"
 #include "src/support/format.hpp"
+#include "src/support/line_reader.hpp"
 #include "src/support/metrics.hpp"
 
 namespace automap::cli {
@@ -50,7 +51,7 @@ void emit_observability(const MachineModel& machine, const TaskGraph& graph,
 }
 
 int cmd_export_machine(const Args& args) {
-  const int nodes = std::stoi(args.pos(1));
+  const int nodes = to_int<int>(args.pos(1), "nodes");
   const MachineModel machine =
       args.pos(0) == "lassen"        ? make_lassen(nodes)
       : args.pos(0) == "cpu-cluster" ? make_cpu_cluster(nodes)
@@ -63,8 +64,8 @@ int cmd_export_machine(const Args& args) {
 int cmd_export_app(const Args& args) {
   const std::string& name = args.pos(0);
   AM_REQUIRE(is_app_name(name), "unknown application: " + name);
-  const int nodes = std::stoi(args.pos(1));
-  const int step = std::stoi(args.pos(2));
+  const int nodes = to_int<int>(args.pos(1), "nodes");
+  const int step = to_int<int>(args.pos(2), "step");
   const BenchmarkApp app = make_app_by_name(name, nodes, step);
   save_task_graph(args.pos(3), app.graph);
   std::cout << "wrote " << args.pos(3) << " (" << app.name << " " << app.input

@@ -21,6 +21,7 @@
 #include "src/support/error.hpp"
 #include "src/support/format.hpp"
 #include "src/support/json.hpp"
+#include "src/support/line_reader.hpp"
 #include "src/support/table.hpp"
 
 namespace automap::cli {
@@ -113,7 +114,7 @@ JsonValue call(const std::string& socket_path, const RetryPolicy& retry,
 std::string job_id_arg(const Args& args, const std::string& action) {
   AM_REQUIRE(args.positional().size() == 2,
              "client " + action + " needs <job>");
-  return std::to_string(std::stoull(args.pos(1)));
+  return std::to_string(to_int<std::uint64_t>(args.pos(1), "job"));
 }
 
 /// Fetches and prints a completed job: the summary line and mapping bytes
@@ -264,20 +265,10 @@ int client_trace(const std::string& socket_path, const RetryPolicy& retry,
 
 /// First sample value for `name` in a Prometheus exposition ("name 42").
 double exposition_value(const std::string& text, const std::string& name) {
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(start, end - start);
-    if (line.rfind(name + " ", 0) == 0) {
-      try {
-        return std::stod(line.substr(name.size() + 1));
-      } catch (const std::exception&) {
-        return 0;
-      }
-    }
-    start = end + 1;
-  }
+  LineReader reader(text);  // the "# HELP" / "# TYPE" lines are comments
+  while (reader.next())
+    if (reader.size() == 2 && reader[0] == name)
+      return parse_double(reader[1], /*allow_inf=*/true).value_or(0);
   return 0;
 }
 

@@ -2,83 +2,27 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
-#include <vector>
 
 #include "src/support/error.hpp"
+#include "src/support/line_reader.hpp"
 
 namespace automap {
 
 namespace {
 
-/// Line-oriented tokenizer with positional error reporting.
-class LineReader {
- public:
-  explicit LineReader(std::istream& is) : is_(is) {}
+/// Rect coordinates stay within +-2^61 so `hi - lo + 1` cannot overflow.
+constexpr std::int64_t kMaxCoord = std::int64_t{1} << 61;
+constexpr int kMaxInt = std::numeric_limits<int>::max();
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
 
-  /// Next non-empty, non-comment line split into tokens; false at EOF.
-  bool next(std::vector<std::string>& tokens) {
-    std::string line;
-    while (std::getline(is_, line)) {
-      ++line_number_;
-      // Strip comments.
-      if (const auto hash = line.find('#'); hash != std::string::npos)
-        line.resize(hash);
-      std::istringstream ls(line);
-      tokens.clear();
-      std::string token;
-      while (ls >> token) tokens.push_back(token);
-      if (!tokens.empty()) return true;
-    }
-    return false;
-  }
-
-  [[noreturn]] void fail(const std::string& message) const {
-    AM_REQUIRE(false,
-               "line " + std::to_string(line_number_) + ": " + message);
-    AM_UNREACHABLE("");
-  }
-
-  void expect(bool condition, const std::string& message) const {
-    if (!condition) fail(message);
-  }
-
-  [[nodiscard]] double to_double(const std::string& s) const {
-    try {
-      std::size_t pos = 0;
-      const double v = std::stod(s, &pos);
-      expect(pos == s.size(), "trailing characters in number: " + s);
-      return v;
-    } catch (const std::logic_error&) {
-      fail("expected a number, got: " + s);
-    }
-  }
-
-  [[nodiscard]] long long to_int(const std::string& s) const {
-    try {
-      std::size_t pos = 0;
-      const long long v = std::stoll(s, &pos);
-      expect(pos == s.size(), "trailing characters in integer: " + s);
-      return v;
-    } catch (const std::logic_error&) {
-      fail("expected an integer, got: " + s);
-    }
-  }
-
- private:
-  std::istream& is_;
-  int line_number_ = 0;
-};
-
-const char* privilege_name(Privilege p) { return to_string(p); }
-
-Privilege parse_privilege(const LineReader& reader, const std::string& s) {
-  if (s == "RO") return Privilege::kReadOnly;
-  if (s == "WO") return Privilege::kWriteOnly;
-  if (s == "RW") return Privilege::kReadWrite;
-  if (s == "RD") return Privilege::kReduce;
-  reader.fail("unknown privilege: " + s);
+Privilege parse_privilege(std::string_view s) {
+  for (const Privilege p : {Privilege::kReadOnly, Privilege::kWriteOnly,
+                            Privilege::kReadWrite, Privilege::kReduce})
+    if (s == to_string(p)) return p;
+  throw Error("unknown privilege '" + std::string(s) + "'");
 }
 
 void write_rect(std::ostream& os, const Rect& r) {
@@ -86,17 +30,15 @@ void write_rect(std::ostream& os, const Rect& r) {
   for (int d = 0; d < r.dims; ++d) os << " " << r.lo[d] << " " << r.hi[d];
 }
 
-Rect read_rect(const LineReader& reader,
-               const std::vector<std::string>& tokens, std::size_t& cursor) {
-  reader.expect(cursor < tokens.size(), "missing rect dimensionality");
-  const int dims = static_cast<int>(reader.to_int(tokens[cursor++]));
-  reader.expect(dims >= 1 && dims <= Rect::kMaxDims, "bad rect dims");
+/// Reads `dims lo0 hi0 ...` from token `cursor` to the end of the line.
+Rect read_rect(const LineReader& reader, std::size_t cursor) {
   Rect r;
-  r.dims = dims;
-  for (int d = 0; d < dims; ++d) {
-    reader.expect(cursor + 1 < tokens.size(), "truncated rect bounds");
-    r.lo[d] = reader.to_int(tokens[cursor++]);
-    r.hi[d] = reader.to_int(tokens[cursor++]);
+  r.dims = to_int(reader[cursor++], 1, Rect::kMaxDims, "rect dims");
+  if (reader.size() != cursor + 2 * static_cast<std::size_t>(r.dims))
+    throw Error("rect needs one lo/hi pair per dimension");
+  for (int d = 0; d < r.dims; ++d) {
+    r.lo[d] = to_int(reader[cursor++], -kMaxCoord, kMaxCoord, "rect lo");
+    r.hi[d] = to_int(reader[cursor++], -kMaxCoord, kMaxCoord, "rect hi");
   }
   return r;
 }
@@ -167,68 +109,65 @@ void write_machine(std::ostream& os, const MachineModel& machine) {
   }
 }
 
-MachineModel read_machine(std::istream& is) {
-  LineReader reader(is);
-  std::vector<std::string> t;
-
-  reader.expect(reader.next(t), "empty machine file");
-  reader.expect(t.size() == 4 && t[0] == "machine" && t[2] == "nodes",
-                "expected: machine <name> nodes <count>");
-  MachineModel machine(t[1], static_cast<int>(reader.to_int(t[3])));
-
-  while (reader.next(t)) {
-    if (t[0] == "runtime_overhead") {
-      reader.expect(t.size() == 2, "runtime_overhead <seconds>");
-      machine.set_runtime_overhead(reader.to_double(t[1]));
-    } else if (t[0] == "restart_overhead") {
-      // Optional (absent in machine files written before the fault layer).
-      reader.expect(t.size() == 2, "restart_overhead <seconds>");
-      machine.set_restart_overhead(reader.to_double(t[1]));
-    } else if (t[0] == "proc") {
-      reader.expect((t.size() == 8 || t.size() == 10) && t[2] == "count" &&
-                        t[4] == "speed" && t[6] == "launch_overhead",
-                    "proc <kind> count <n> speed <s> launch_overhead <s> "
-                    "[watts <w>]");
-      ProcGroup group{.kind = parse_proc_kind(t[1]),
-                      .count_per_node = static_cast<int>(reader.to_int(t[3])),
-                      .speed = reader.to_double(t[5]),
-                      .launch_overhead_s = reader.to_double(t[7])};
-      if (t.size() == 10) {
-        reader.expect(t[8] == "watts", "expected: watts <w>");
-        group.watts_busy = reader.to_double(t[9]);
+MachineModel machine_from_string(const std::string& text) {
+  LineReader reader(text);
+  MachineModel machine = reader.at_line([&reader] {
+    reader.next_line("machine <name> nodes <count>");
+    MachineModel m(std::string(reader[1]),
+                   to_int(reader[3], 1, kMaxInt, "nodes"));
+    const auto link = [&reader](std::size_t bandwidth) -> Channel {
+      return {to_double(reader[bandwidth], "bandwidth"),
+              to_double(reader[bandwidth + 2], "latency")};
+    };
+    while (reader.next()) {
+      const std::string_view tag = reader[0];
+      if (tag == "runtime_overhead") {
+        reader.expect_line("runtime_overhead <seconds>");
+        m.set_runtime_overhead(to_double(reader[1], "runtime_overhead"));
+      } else if (tag == "restart_overhead") {
+        // Optional (absent in machine files written before the fault layer).
+        reader.expect_line("restart_overhead <seconds>");
+        m.set_restart_overhead(to_double(reader[1], "restart_overhead"));
+      } else if (tag == "proc") {
+        const bool watts = reader.size() > 8;
+        reader.expect_line(watts ? "proc <kind> count <n> speed <s> "
+                                   "launch_overhead <s> watts <w>"
+                                 : "proc <kind> count <n> speed <s> "
+                                   "launch_overhead <s>");
+        m.add_proc_group(
+            {.kind = parse_proc_kind(reader[1]),
+             .count_per_node = to_int(reader[3], 1, kMaxInt, "count"),
+             .speed = to_double(reader[5], "speed"),
+             .launch_overhead_s = to_double(reader[7], "launch_overhead"),
+             .watts_busy = watts ? to_double(reader[9], "watts") : 0.0});
+      } else if (tag == "mem") {
+        reader.expect_line("mem <kind> count <n> capacity <bytes>");
+        m.add_mem_group(
+            {.kind = parse_mem_kind(reader[1]),
+             .count_per_node = to_int(reader[3], 1, kMaxInt, "count"),
+             .capacity_bytes =
+                 to_int(reader[5], std::uint64_t{1}, kMaxU64, "capacity")});
+      } else if (tag == "affinity") {
+        reader.expect_line("affinity <proc> <mem> bandwidth <b> latency <l>");
+        const Channel c = link(4);
+        m.set_affinity(parse_proc_kind(reader[1]), parse_mem_kind(reader[2]),
+                       {c.bandwidth_bytes_per_s, c.latency_s});
+      } else if (tag == "channel") {
+        reader.expect_line(
+            "channel <mem> <mem> <intra|inter> bandwidth <b> latency <l>");
+        if (reader[3] != "intra" && reader[3] != "inter")
+          throw Error("channel scope must be intra or inter");
+        m.set_channel(parse_mem_kind(reader[1]), parse_mem_kind(reader[2]),
+                      reader[3] == "inter", link(5));
+      } else if (tag == "cross_socket") {
+        reader.expect_line("cross_socket bandwidth <b> latency <l>");
+        m.set_cross_socket_channel(link(2));
+      } else {
+        throw Error("unknown machine directive: " + std::string(tag));
       }
-      machine.add_proc_group(group);
-    } else if (t[0] == "mem") {
-      reader.expect(t.size() == 6 && t[2] == "count" && t[4] == "capacity",
-                    "mem <kind> count <n> capacity <bytes>");
-      machine.add_mem_group(
-          {.kind = parse_mem_kind(t[1]),
-           .count_per_node = static_cast<int>(reader.to_int(t[3])),
-           .capacity_bytes =
-               static_cast<std::uint64_t>(reader.to_int(t[5]))});
-    } else if (t[0] == "affinity") {
-      reader.expect(t.size() == 7 && t[3] == "bandwidth" && t[5] == "latency",
-                    "affinity <proc> <mem> bandwidth <b> latency <l>");
-      machine.set_affinity(parse_proc_kind(t[1]), parse_mem_kind(t[2]),
-                           {reader.to_double(t[4]), reader.to_double(t[6])});
-    } else if (t[0] == "channel") {
-      reader.expect(t.size() == 8 && t[4] == "bandwidth" && t[6] == "latency",
-                    "channel <mem> <mem> <intra|inter> bandwidth <b> "
-                    "latency <l>");
-      reader.expect(t[3] == "intra" || t[3] == "inter",
-                    "channel scope must be intra or inter");
-      machine.set_channel(parse_mem_kind(t[1]), parse_mem_kind(t[2]),
-                          t[3] == "inter",
-                          {reader.to_double(t[5]), reader.to_double(t[7])});
-    } else if (t[0] == "cross_socket") {
-      reader.expect(t.size() == 5 && t[1] == "bandwidth" && t[3] == "latency",
-                    "cross_socket bandwidth <b> latency <l>");
-      machine.set_cross_socket_channel(
-          {reader.to_double(t[2]), reader.to_double(t[4])});
-    } else {
-      reader.fail("unknown machine directive: " + t[0]);
     }
-  }
+    return m;
+  });
   machine.validate();
   return machine;
 }
@@ -258,7 +197,7 @@ void write_task_graph(std::ostream& os, const TaskGraph& graph) {
        << task.cost.gpu_seconds_per_point << "\n";
     for (const CollectionUse& use : task.args) {
       os << "  arg " << use.collection.value() << " "
-         << privilege_name(use.privilege) << " " << use.access_fraction
+         << to_string(use.privilege) << " " << use.access_fraction
          << "\n";
     }
   }
@@ -271,67 +210,86 @@ void write_task_graph(std::ostream& os, const TaskGraph& graph) {
   }
 }
 
-TaskGraph read_task_graph(std::istream& is) {
-  LineReader reader(is);
-  std::vector<std::string> t;
-  TaskGraph graph;
-
-  reader.expect(reader.next(t), "empty task graph file");
-  reader.expect(!t.empty() && t[0] == "taskgraph",
-                "expected a taskgraph header");
-
-  std::optional<TaskId> current_task;
-  while (reader.next(t)) {
-    if (t[0] == "region") {
-      reader.expect(t.size() >= 6 && t[2] == "elem_bytes" && t[4] == "bounds",
-                    "region <name> elem_bytes <n> bounds <rect>");
-      std::size_t cursor = 5;
-      const Rect bounds = read_rect(reader, t, cursor);
-      graph.add_region(t[1], bounds,
-                       static_cast<std::uint64_t>(reader.to_int(t[3])));
-    } else if (t[0] == "collection") {
-      reader.expect(t.size() >= 6 && t[2] == "region" && t[4] == "rect",
-                    "collection <name> region <id> rect <rect>");
-      std::size_t cursor = 5;
-      const Rect rect = read_rect(reader, t, cursor);
-      graph.add_collection(RegionId(reader.to_int(t[3])), t[1], rect);
-    } else if (t[0] == "task") {
-      reader.expect(t.size() == 8 && t[2] == "points" && t[4] == "cpu" &&
-                        t[6] == "gpu",
-                    "task <name> points <n> cpu <s> gpu <s>");
-      current_task = graph.add_task(
-          t[1], static_cast<int>(reader.to_int(t[3])),
-          {.cpu_seconds_per_point = reader.to_double(t[5]),
-           .gpu_seconds_per_point = reader.to_double(t[7])},
-          {});
-    } else if (t[0] == "arg") {
-      reader.expect(current_task.has_value(), "arg before any task");
-      reader.expect(t.size() == 4, "arg <collection id> <priv> <fraction>");
-      // Tasks are immutable once added; rebuild with the extra argument by
-      // mutating through a fresh add is not possible, so args are parsed
-      // into the task via the dedicated hook below.
-      graph.append_task_arg(*current_task,
-                            {CollectionId(reader.to_int(t[1])),
-                             parse_privilege(reader, t[2]),
-                             reader.to_double(t[3])});
-    } else if (t[0] == "edge") {
-      reader.expect(t.size() == 13 && t[5] == "bytes" && t[7] == "cross" &&
-                        t[9] == "fraction" && t[11] == "data",
-                    "edge <p> <c> <pcol> <ccol> bytes <n> cross <0|1> "
-                    "fraction <f> data <0|1>");
-      graph.add_dependence(
-          {.producer = TaskId(reader.to_int(t[1])),
-           .consumer = TaskId(reader.to_int(t[2])),
-           .producer_collection = CollectionId(reader.to_int(t[3])),
-           .consumer_collection = CollectionId(reader.to_int(t[4])),
-           .bytes = static_cast<std::uint64_t>(reader.to_int(t[6])),
-           .cross_iteration = reader.to_int(t[8]) != 0,
-           .internode_fraction = reader.to_double(t[10]),
-           .carries_data = reader.to_int(t[12]) != 0});
-    } else {
-      reader.fail("unknown task graph directive: " + t[0]);
+TaskGraph task_graph_from_string(const std::string& text) {
+  LineReader reader(text);
+  constexpr const char* kKinds[] = {"regions", "collections", "tasks",
+                                    "edges"};
+  std::size_t promised[4] = {};
+  int header_line = 0;
+  TaskGraph graph = reader.at_line([&] {
+    reader.next_line(
+        "taskgraph regions <n> collections <n> tasks <n> edges <n>");
+    header_line = reader.line_number();
+    for (std::size_t i = 0; i < 4; ++i)
+      promised[i] = to_int<std::size_t>(reader[2 + 2 * i], kKinds[i]);
+    // An index into the `count` items of one kind declared so far.
+    const auto index = [](std::string_view token, std::size_t count,
+                          std::string_view field) {
+      if (count == 0) throw Error(std::string(field) + ": none declared yet");
+      return to_int(token, std::size_t{0}, count - 1, field);
+    };
+    TaskGraph g;
+    std::optional<TaskId> current_task;
+    while (reader.next()) {
+      const std::string_view tag = reader[0];
+      if (tag == "region") {
+        reader.expect_line("region <name> elem_bytes <n> bounds <dims>",
+                           /*more=*/true);
+        const std::uint64_t elem_bytes =
+            to_int(reader[3], std::uint64_t{1}, kMaxU64, "elem_bytes");
+        g.add_region(std::string(reader[1]), read_rect(reader, 5),
+                     elem_bytes);
+      } else if (tag == "collection") {
+        reader.expect_line("collection <name> region <id> rect <dims>",
+                           /*more=*/true);
+        const RegionId region(index(reader[3], g.num_regions(), "region"));
+        g.add_collection(region, std::string(reader[1]),
+                         read_rect(reader, 5));
+      } else if (tag == "task") {
+        reader.expect_line("task <name> points <n> cpu <s> gpu <s>");
+        current_task = g.add_task(
+            std::string(reader[1]), to_int(reader[3], 1, kMaxInt, "points"),
+            {.cpu_seconds_per_point = to_double(reader[5], "cpu"),
+             .gpu_seconds_per_point = to_double(reader[7], "gpu")},
+            {});
+      } else if (tag == "arg") {
+        if (!current_task) throw Error("arg before any task");
+        reader.expect_line("arg <collection> <priv> <fraction>");
+        g.append_task_arg(
+            *current_task,
+            {CollectionId(index(reader[1], g.num_collections(), "collection")),
+             parse_privilege(reader[2]), to_double(reader[3], "fraction")});
+      } else if (tag == "edge") {
+        reader.expect_line(
+            "edge <p> <c> <pcol> <ccol> bytes <n> cross <0|1> fraction <f> "
+            "data <0|1>");
+        const std::size_t tasks = g.num_tasks();
+        const std::size_t cols = g.num_collections();
+        g.add_dependence(
+            {.producer = TaskId(index(reader[1], tasks, "producer")),
+             .consumer = TaskId(index(reader[2], tasks, "consumer")),
+             .producer_collection =
+                 CollectionId(index(reader[3], cols, "pcol")),
+             .consumer_collection =
+                 CollectionId(index(reader[4], cols, "ccol")),
+             .bytes = to_int<std::uint64_t>(reader[6], "bytes"),
+             .cross_iteration = to_int(reader[8], 0, 1, "cross") == 1,
+             .internode_fraction = to_double(reader[10], "fraction"),
+             .carries_data = to_int(reader[12], 0, 1, "data") == 1});
+      } else {
+        throw Error("unknown task graph directive: " + std::string(tag));
+      }
     }
-  }
+    return g;
+  });
+  const std::size_t found[] = {graph.num_regions(), graph.num_collections(),
+                               graph.num_tasks(), graph.num_edges()};
+  for (std::size_t i = 0; i < 4; ++i)
+    if (found[i] != promised[i])
+      throw Error("line " + std::to_string(header_line) + ": " +
+                  std::string(kKinds[i]) + ": header promises " +
+                  std::to_string(promised[i]) + ", the file has " +
+                  std::to_string(found[i]));
   graph.validate();
   return graph;
 }
@@ -344,20 +302,10 @@ std::string machine_to_string(const MachineModel& machine) {
   return os.str();
 }
 
-MachineModel machine_from_string(const std::string& text) {
-  std::istringstream is(text);
-  return read_machine(is);
-}
-
 std::string task_graph_to_string(const TaskGraph& graph) {
   std::ostringstream os;
   write_task_graph(os, graph);
   return os.str();
-}
-
-TaskGraph task_graph_from_string(const std::string& text) {
-  std::istringstream is(text);
-  return read_task_graph(is);
 }
 
 void save_text(const std::string& path, const std::string& text) {

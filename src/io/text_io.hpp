@@ -26,7 +26,6 @@ void write_machine(std::ostream& os, const MachineModel& machine);
 
 /// Parses a machine model. Throws Error with a line number on malformed
 /// input; the result is validate()d before being returned.
-[[nodiscard]] MachineModel read_machine(std::istream& is);
 [[nodiscard]] MachineModel machine_from_string(const std::string& text);
 
 /// Writes a task graph (the "search space file" of §3.3): regions,
@@ -36,7 +35,6 @@ void write_task_graph(std::ostream& os, const TaskGraph& graph);
 [[nodiscard]] std::string task_graph_to_string(const TaskGraph& graph);
 
 /// Parses a task graph; validates before returning.
-[[nodiscard]] TaskGraph read_task_graph(std::istream& is);
 [[nodiscard]] TaskGraph task_graph_from_string(const std::string& text);
 
 // File-level helpers (throw Error on I/O failure).

@@ -50,8 +50,7 @@ ProcKind parse_proc_kind(std::string_view name) {
   const std::string u = to_upper(name);
   if (u == "CPU") return ProcKind::kCpu;
   if (u == "GPU") return ProcKind::kGpu;
-  AM_REQUIRE(false, "unknown processor kind: " + std::string(name));
-  AM_UNREACHABLE("");
+  throw Error("unknown processor kind '" + std::string(name) + "'");
 }
 
 MemKind parse_mem_kind(std::string_view name) {
@@ -61,8 +60,7 @@ MemKind parse_mem_kind(std::string_view name) {
     return MemKind::kZeroCopy;
   if (u == "FRAMEBUFFER" || u == "FB" || u == "FRAME-BUFFER")
     return MemKind::kFrameBuffer;
-  AM_REQUIRE(false, "unknown memory kind: " + std::string(name));
-  AM_UNREACHABLE("");
+  throw Error("unknown memory kind '" + std::string(name) + "'");
 }
 
 }  // namespace automap

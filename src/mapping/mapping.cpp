@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "src/support/error.hpp"
+#include "src/support/line_reader.hpp"
 #include "src/support/rng.hpp"
 
 namespace automap {
@@ -135,41 +136,48 @@ std::string Mapping::serialize() const {
 }
 
 Mapping Mapping::parse(const std::string& text, const TaskGraph& graph) {
+  LineReader reader(text);
+  return reader.at_line([&] {
+    Mapping mapping = read(reader, graph);
+    if (reader.next()) throw Error("text continues after the last task line");
+    return mapping;
+  });
+}
+
+Mapping Mapping::read(LineReader& reader, const TaskGraph& graph) {
   Mapping mapping(graph);
-  std::istringstream is(text);
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string keyword, dist, proc;
-    std::size_t index = 0;
-    ls >> keyword >> index >> dist >> proc;
-    AM_REQUIRE(keyword == "task" && !ls.fail(), "malformed mapping line: " +
-                                                    line);
-    AM_REQUIRE(index < graph.num_tasks(), "task index out of range");
-    TaskMapping& tm = mapping.at(TaskId(index));
-    AM_REQUIRE(dist == "dist" || dist == "leader" || dist == "blocked",
-               "bad distribution flag: " + dist);
-    tm.distribute = (dist != "leader");
-    tm.blocked = (dist == "blocked");
-    tm.proc = parse_proc_kind(proc);
-    const std::size_t num_args = graph.task(TaskId(index)).args.size();
-    for (std::size_t a = 0; a < num_args; ++a) {
-      std::string mems;
-      ls >> mems;
-      AM_REQUIRE(!ls.fail(), "mapping line has too few arguments: " + line);
-      MemPriority priority;
-      std::istringstream ms(mems);
-      std::string one;
-      while (std::getline(ms, one, ',')) priority.push_back(parse_mem_kind(one));
-      AM_REQUIRE(!priority.empty(), "empty memory list in: " + line);
-      tm.arg_memories[a] = std::move(priority);
+  const std::size_t n = graph.num_tasks();
+  std::vector<bool> seen(n, false);
+  for (std::size_t line = 0; line < n; ++line) {
+    reader.next_line("task <index> <dist|leader|blocked> <proc>",
+                     /*more=*/true);
+    const std::size_t index =
+        to_int(reader[1], std::size_t{0}, n - 1, "task index");
+    if (seen[index])
+      throw Error("task " + std::to_string(index) + " appears more than once");
+    seen[index] = true;
+    TaskMapping& tm = mapping.tasks_[index];
+    const std::string_view dist = reader[2];
+    if (dist != "dist" && dist != "leader" && dist != "blocked")
+      throw Error("unknown distribution '" + std::string(dist) + "'");
+    tm.distribute = dist != "leader";
+    tm.blocked = dist == "blocked";
+    tm.proc = parse_proc_kind(reader[3]);
+    if (reader.size() != 4 + tm.arg_memories.size())
+      throw Error("task " + std::to_string(index) + " needs " +
+                  std::to_string(tm.arg_memories.size()) + " memory entries");
+    for (std::size_t a = 0; a < tm.arg_memories.size(); ++a) {
+      // A comma-separated priority list; every entry must name a kind.
+      const std::string_view list = reader[4 + a];
+      MemPriority& priority = tm.arg_memories[a];
+      priority.clear();
+      for (std::size_t start = 0; start <= list.size();) {
+        const std::size_t comma = std::min(list.find(',', start), list.size());
+        priority.push_back(parse_mem_kind(list.substr(start, comma - start)));
+        start = comma + 1;
+      }
     }
-    ++lines;
   }
-  AM_REQUIRE(lines == graph.num_tasks(),
-             "mapping text does not cover every task");
   return mapping;
 }
 

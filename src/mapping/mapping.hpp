@@ -20,6 +20,8 @@
 
 namespace automap {
 
+class LineReader;
+
 /// Memory priority list for one collection argument. Usually size one; the
 /// memory-constrained mode appends fallbacks.
 using MemPriority = std::vector<MemKind>;
@@ -86,10 +88,16 @@ class Mapping {
   /// Serializes to a line-oriented text form:
   ///   task <index> <dist|leader> <CPU|GPU> <mem[,mem...]> ...
   [[nodiscard]] std::string serialize() const;
-  /// Parses the output of serialize(). Throws Error on malformed input or
-  /// when the shape does not match `graph`.
+  /// Parses the output of serialize(), each task index exactly once. Throws
+  /// Error naming the line on malformed input or when the shape does not
+  /// match `graph`.
   [[nodiscard]] static Mapping parse(const std::string& text,
                                      const TaskGraph& graph);
+  /// Reads one mapping from the next graph.num_tasks() lines of `reader`,
+  /// for the formats that embed mappings; the caller's at_line adds the
+  /// line to errors.
+  [[nodiscard]] static Mapping read(LineReader& reader,
+                                    const TaskGraph& graph);
 
   /// Human-readable mapping dump with task/collection names.
   [[nodiscard]] std::string describe(const TaskGraph& graph) const;

@@ -15,6 +15,7 @@
 #include "src/support/error.hpp"
 #include "src/support/format.hpp"
 #include "src/support/json.hpp"
+#include "src/support/line_reader.hpp"
 
 namespace automap {
 
@@ -390,7 +391,7 @@ ReplayOutcome replay_journal(const MachineModel& machine,
                "search_begin has 'options' but no 'sim' record");
     sim_options = sim_options_from_json(*sim_obj);
   } else {
-    options.seed = std::stoull(sb->str_or("seed", "0"));
+    options.seed = to_int<std::uint64_t>(sb->str_or("seed", "0"), "seed");
     options.rotations = static_cast<int>(sb->num_or("rotations", 5));
     options.repeats = static_cast<int>(sb->num_or("repeats", 7));
     options.time_budget_s = sb->wide_num_or("budget", kInf);

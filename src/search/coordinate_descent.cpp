@@ -15,6 +15,7 @@
 #include "src/support/durable.hpp"
 #include "src/support/error.hpp"
 #include "src/support/json.hpp"
+#include "src/support/line_reader.hpp"
 #include "src/support/metrics.hpp"
 
 namespace automap {
@@ -460,25 +461,19 @@ void optimize_task(TaskId t, Mapping& f, double& p, Evaluator& eval,
 }
 
 /// A parsed CCD/CD checkpoint: where the killed search stood. Checkpoints
-/// are always *pre-finalize* states that an uninterrupted run passes
-/// through, so resuming replays the remaining rotations and the finalist
-/// protocol deterministically — the resumed SearchResult is bit-identical
-/// to the uninterrupted one (wall_time_s excepted).
+/// are *pre-finalize* states an uninterrupted run passes through, so a
+/// resumed SearchResult is bit-identical to it (wall_time_s excepted).
 struct ResumePoint {
   int rotation = 0;
   std::size_t position = 0;  // index into `order`; 0 = rotation start
   double best_before = std::numeric_limits<double>::infinity();
   double incumbent_mean = std::numeric_limits<double>::infinity();
   std::vector<TaskId> order;  // the rotation's coordinate order, mid-rotation
-  std::string evaluator_state;
 };
 
-/// Durably publishes a checkpoint: rotation/position cursor, the
-/// rotation's coordinate order (mid-rotation), the incumbent mapping, and
-/// the evaluator's full state. save_checksummed gives write-temp + fsync
-/// + rename + dir fsync (the previous checkpoint survives a mid-write
-/// death, even across power loss) and appends the checksum trailer that
-/// lets a resuming reader tell a torn checkpoint from a complete one.
+/// Durably publishes a checkpoint (layout: docs/file_formats.md).
+/// save_checksummed gives write-temp + fsync + rename + dir fsync and the
+/// checksum trailer that tells a torn checkpoint from a complete one.
 void write_checkpoint(const std::string& path, const char* algorithm,
                       int rotation, std::size_t position, double best_before,
                       double incumbent_mean,
@@ -501,58 +496,42 @@ void write_checkpoint(const std::string& path, const char* algorithm,
   save_checksummed(path, os.str(), "checkpoint");
 }
 
-/// Parses a checkpoint produced by write_checkpoint. The mapping is parsed
-/// into `f`; the evaluator-state tail is returned verbatim for
-/// Evaluator::restore_state.
+/// Parses a checkpoint produced by write_checkpoint: the cursor, the
+/// incumbent mapping (into `f`) and the evaluator state (into `eval`).
+/// `rotations`, the search's rotation count, bounds the cursor.
 ResumePoint parse_checkpoint(const std::string& text, const char* algorithm,
-                             const TaskGraph& graph, Mapping& f) {
-  std::istringstream is(text);
-  std::string line;
-  const auto field = [&is, &line](const char* head) {
-    AM_REQUIRE(std::getline(is, line) &&
-                   line.rfind(std::string(head) + " ", 0) == 0,
-               "malformed checkpoint: expected '" + std::string(head) + "'");
-    return line.substr(std::string(head).size() + 1);
-  };
-  const auto to_d = [](const std::string& t) -> double {
-    try {
-      return std::stod(t);
-    } catch (const std::exception&) {
-      throw Error("malformed number in checkpoint: '" + t + "'");
-    }
-  };
-  AM_REQUIRE(field("automap-checkpoint") == "1",
-             "unsupported checkpoint version");
-  const std::string label = field("algorithm");
-  AM_REQUIRE(label == algorithm,
-             "checkpoint was written by " + label + ", cannot resume as " +
-                 algorithm);
-  ResumePoint rp;
-  rp.rotation = static_cast<int>(to_d(field("rotation")));
-  rp.position = static_cast<std::size_t>(to_d(field("position")));
-  rp.best_before = to_d(field("best_before"));
-  rp.incumbent_mean = to_d(field("incumbent_mean"));
-  std::istringstream order_is(field("order"));
-  std::size_t n_order = 0;
-  AM_REQUIRE(static_cast<bool>(order_is >> n_order),
-             "malformed order in checkpoint");
-  for (std::size_t i = 0; i < n_order; ++i) {
-    std::size_t idx = 0;
-    AM_REQUIRE(static_cast<bool>(order_is >> idx),
-               "truncated order in checkpoint");
-    AM_REQUIRE(idx < graph.num_tasks(), "order task out of range");
-    rp.order.push_back(TaskId(idx));
-  }
-  std::string mapping_text;
-  for (std::size_t t = 0; t < graph.num_tasks(); ++t) {
-    AM_REQUIRE(std::getline(is, line), "truncated mapping in checkpoint");
-    mapping_text += line + "\n";
-  }
-  f = Mapping::parse(mapping_text, graph);
-  std::ostringstream tail;
-  tail << is.rdbuf();
-  rp.evaluator_state = tail.str();
-  return rp;
+                             int rotations, const TaskGraph& graph, Mapping& f,
+                             Evaluator& eval) {
+  LineReader reader(text);
+  return reader.at_line([&] {
+    const std::size_t tasks = graph.num_tasks();
+    reader.next_line("automap-checkpoint 1");
+    reader.next_line("algorithm <name>");
+    if (reader[1] != algorithm)
+      throw Error("checkpoint was written by " + std::string(reader[1]) +
+                  ", cannot resume as " + algorithm);
+    ResumePoint rp;
+    reader.next_line("rotation <r>");
+    rp.rotation = to_int(reader[1], 0, rotations, "rotation");
+    reader.next_line("position <p>");
+    rp.position = to_int(reader[1], std::size_t{0}, tasks, "position");
+    reader.next_line("best_before <seconds>");
+    rp.best_before = to_double_or_inf(reader[1], "best_before");
+    reader.next_line("incumbent_mean <seconds>");
+    rp.incumbent_mean = to_double_or_inf(reader[1], "incumbent_mean");
+    reader.next_line("order <count>", /*more=*/true);
+    const std::size_t count = to_int(reader[1], std::size_t{0}, tasks, "order");
+    if (reader.size() != 2 + count)
+      throw Error("order: the count must match the task ids that follow");
+    if (rp.position > count)
+      throw Error("order: shorter than the checkpoint's position");
+    for (std::size_t i = 0; i < count; ++i)
+      rp.order.push_back(
+          TaskId(to_int(reader[2 + i], std::size_t{0}, tasks - 1, "order")));
+    f = Mapping::read(reader, graph);
+    eval.restore_state(reader);
+    return rp;
+  });
 }
 
 SearchResult run_coordinate_descent(const Simulator& sim,
@@ -589,8 +568,8 @@ SearchResult run_coordinate_descent(const Simulator& sim,
   const bool resuming = !options.resume_state.empty();
   ResumePoint rp;
   if (resuming) {
-    rp = parse_checkpoint(options.resume_state, algorithm, graph, f);
-    eval.restore_state(rp.evaluator_state);
+    rp = parse_checkpoint(options.resume_state, algorithm,
+                          constrained ? options.rotations : 1, graph, f, eval);
   }
   eval.journal_search_begin(algorithm, f, /*custom_start=*/start != nullptr);
   double p = resuming ? rp.incumbent_mean : eval.evaluate(f);

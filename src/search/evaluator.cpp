@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <exception>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -12,6 +11,7 @@
 #include "src/report/journal.hpp"
 #include "src/support/error.hpp"
 #include "src/support/json.hpp"
+#include "src/support/line_reader.hpp"
 #include "src/support/metrics.hpp"
 #include "src/support/rng.hpp"
 
@@ -31,6 +31,7 @@ Evaluator::Evaluator(const Simulator& sim, const SearchOptions& options)
   AM_REQUIRE(options_.repeats > 0, "repeats must be positive");
   AM_REQUIRE(options_.rotations > 0, "rotations must be positive");
   AM_REQUIRE(options_.top_k > 0, "top_k must be positive");
+  AM_REQUIRE(options_.final_repeats >= 1, "final_repeats must be positive");
   AM_REQUIRE(options_.threads >= 0, "threads must be >= 0");
   AM_REQUIRE(options_.resilience.max_retries >= 0,
              "max_retries must be >= 0");
@@ -323,55 +324,26 @@ std::string Evaluator::export_profiles() const {
 }
 
 void Evaluator::import_profiles(const std::string& text) {
-  std::istringstream is(text);
-  import_profiles_impl(is, /*update_top=*/true);
+  LineReader reader(text);
+  reader.at_line([&] { import_profiles_impl(reader, /*update_top=*/true); });
 }
 
-void Evaluator::import_profiles_impl(std::istream& is, bool update_top) {
-  std::string line;
-  AM_REQUIRE(std::getline(is, line) && line.rfind("profiles ", 0) == 0,
-             "malformed profiles database header");
+void Evaluator::import_profiles_impl(LineReader& reader, bool update_top) {
+  reader.next_line("profiles <count>");
+  const std::size_t count = to_int<std::size_t>(reader[1], "profiles");
   const TaskGraph& graph = sim_.graph();
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    AM_REQUIRE(line.rfind("entry ", 0) == 0,
-               "expected an 'entry' line in the profiles database");
-    // Validate the mean ourselves: bare std::stod would leak
-    // std::invalid_argument past the Error-based diagnostics every other
-    // malformed-input path produces.
-    double mean = 0.0;
-    std::size_t parsed = 0;
-    try {
-      mean = std::stod(line.substr(6), &parsed);
-    } catch (const std::exception&) {
-      parsed = 0;
-    }
+  for (std::size_t i = 0; i < count; ++i) {
     // After the mean the line may carry an optional marker: "censored"
     // (the stored value is a bound the true mean exceeds) or "quarantined"
     // (the candidate failed its whole retry budget and is cached as
     // permanently failed).
-    bool censored = false;
-    bool quarantined = false;
-    bool well_formed = parsed > 0;
-    if (well_formed) {
-      const std::size_t tail = line.find_first_not_of(" \t", 6 + parsed);
-      if (tail != std::string::npos) {
-        const std::string marker = line.substr(tail);
-        censored = marker == "censored";
-        quarantined = marker == "quarantined";
-        well_formed = censored || quarantined;
-      }
-    }
-    AM_REQUIRE(well_formed,
-               "malformed mean in profiles database entry: '" + line + "'");
-    std::string mapping_text;
-    for (std::size_t i = 0; i < graph.num_tasks(); ++i) {
-      std::string task_line;
-      AM_REQUIRE(std::getline(is, task_line),
-                 "truncated mapping in the profiles database");
-      mapping_text += task_line + "\n";
-    }
-    Mapping mapping = Mapping::parse(mapping_text, graph);
+    reader.next_line("entry <mean>", /*more=*/true);
+    const bool censored = reader.size() == 3 && reader[2] == "censored";
+    const bool quarantined = reader.size() == 3 && reader[2] == "quarantined";
+    if (reader.size() != (censored || quarantined ? 3u : 2u))
+      throw Error("expected: entry <mean> [censored|quarantined]");
+    const double mean = to_double_or_inf(reader[1], "mean");
+    Mapping mapping = Mapping::read(reader, graph);
     const std::uint64_t key = mapping.hash();
     if (update_top && mean < kInf && !censored) {
       // insert_top dedupes by hash, so importing the same database twice
@@ -387,6 +359,8 @@ void Evaluator::import_profiles_impl(std::istream& is, bool update_top) {
     profiles_.insert_or_assign(
         key, Entry{std::move(mapping), mean, censored, quarantined});
   }
+  if (reader.next())
+    throw Error("more entries than the 'profiles' header promises");
 }
 
 void Evaluator::insert_top(const Mapping& mapping, double mean) {
@@ -774,22 +748,9 @@ void Evaluator::mark_degraded() {
 }
 
 std::string Evaluator::serialize_state() const {
-  // Text format (version 1), all doubles at precision 17 so a restored
-  // state reproduces the original bit for bit:
-  //
-  //   evaluator-state 1
-  //   best_seconds <v>
-  //   counters <suggested> <evaluated> <invalid> <oom> <censored>
-  //            <cache_hits> <transient_failures> <retries> <quarantined>
-  //            <degraded-0/1>                        (one line, ten fields)
-  //   clocks <search_time_s> <evaluation_time_s>
-  //   rotations <n> / rotation <r> <before> <after> <evaluated> <time> ...
-  //   trajectory <n> / point <time> <value> ...
-  //   top <n> / finalist <mean> + serialized mapping ...
-  //   <profiles database export>
-  //
-  // wall_time_s is deliberately not stored: it is real time, excluded from
-  // every determinism guarantee.
+  // Layout: docs/file_formats.md ("Checkpoint and evaluator state"). All
+  // doubles at precision 17, so a restored state reproduces the original
+  // bit for bit; wall_time_s is real time and deliberately not stored.
   std::ostringstream os;
   os.precision(17);
   os << "evaluator-state 1\n";
@@ -821,100 +782,61 @@ std::string Evaluator::serialize_state() const {
 }
 
 void Evaluator::restore_state(const std::string& text) {
+  LineReader reader(text);
+  reader.at_line([&] { restore_state(reader); });
+}
+
+void Evaluator::restore_state(LineReader& reader) {
   AM_REQUIRE(profiles_.empty() && top_.empty() && stats_.suggested == 0,
              "restore_state requires a freshly constructed evaluator");
-  std::istringstream is(text);
-  std::string line;
-  // stod/stoull handle "inf" and report malformed input; stream extraction
-  // of doubles would reject "inf" outright on common standard libraries.
-  const auto to_d = [](const std::string& t) -> double {
-    try {
-      return std::stod(t);
-    } catch (const std::exception&) {
-      throw Error("malformed number in evaluator state: '" + t + "'");
-    }
-  };
-  const auto to_u = [](const std::string& t) -> std::size_t {
-    try {
-      return static_cast<std::size_t>(std::stoull(t));
-    } catch (const std::exception&) {
-      throw Error("malformed count in evaluator state: '" + t + "'");
-    }
-  };
-  // Reads the next line, asserts its leading tag, returns the remaining
-  // whitespace-separated fields.
-  const auto split = [&is, &line](const char* head) {
-    AM_REQUIRE(std::getline(is, line), "truncated evaluator state");
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
-    AM_REQUIRE(tag == head, "malformed evaluator state: expected '" +
-                                std::string(head) + "', got '" + tag + "'");
-    std::vector<std::string> fields;
-    std::string t;
-    while (ls >> t) fields.push_back(t);
-    return fields;
-  };
-
-  const auto header = split("evaluator-state");
-  AM_REQUIRE(header.size() == 1 && header[0] == "1",
-             "unsupported evaluator state version");
-  const auto best = split("best_seconds");
-  AM_REQUIRE(best.size() == 1, "malformed best_seconds in evaluator state");
-  best_seconds_ = to_d(best[0]);
-  const auto counters = split("counters");
-  AM_REQUIRE(counters.size() == 10, "malformed counters in evaluator state");
-  stats_.suggested = to_u(counters[0]);
-  stats_.evaluated = to_u(counters[1]);
-  stats_.invalid = to_u(counters[2]);
-  stats_.oom = to_u(counters[3]);
-  stats_.censored = to_u(counters[4]);
-  stats_.cache_hits = to_u(counters[5]);
-  stats_.transient_failures = to_u(counters[6]);
-  stats_.retries = to_u(counters[7]);
-  stats_.quarantined = to_u(counters[8]);
-  stats_.degraded = counters[9] == "1";
-  const auto clocks = split("clocks");
-  AM_REQUIRE(clocks.size() == 2, "malformed clocks in evaluator state");
-  stats_.search_time_s = to_d(clocks[0]);
-  stats_.evaluation_time_s = to_d(clocks[1]);
-  const auto nrot = split("rotations");
-  AM_REQUIRE(nrot.size() == 1, "malformed rotations header");
-  for (std::size_t i = 0, n = to_u(nrot[0]); i < n; ++i) {
-    const auto f = split("rotation");
-    AM_REQUIRE(f.size() == 5, "malformed rotation in evaluator state");
-    stats_.rotations.push_back({.rotation = static_cast<int>(to_u(f[0])),
-                                .best_before_s = to_d(f[1]),
-                                .best_after_s = to_d(f[2]),
-                                .evaluated = to_u(f[3]),
-                                .search_time_s = to_d(f[4])});
+  // Every double of the state may be inf: before the first success the
+  // incumbent and the rotation bounds are infinite.
+  reader.next_line("evaluator-state 1");
+  reader.next_line("best_seconds <seconds>");
+  best_seconds_ = to_double_or_inf(reader[1], "best_seconds");
+  reader.next_line(
+      "counters <suggested> <evaluated> <invalid> <oom> <censored> "
+      "<cache_hits> <transient_failures> <retries> <quarantined> <degraded>");
+  std::size_t* const counters[] = {
+      &stats_.suggested,  &stats_.evaluated,          &stats_.invalid,
+      &stats_.oom,        &stats_.censored,           &stats_.cache_hits,
+      &stats_.transient_failures, &stats_.retries, &stats_.quarantined};
+  for (std::size_t i = 0; i < 9; ++i)
+    *counters[i] = to_int<std::size_t>(reader[1 + i], "counters");
+  stats_.degraded = to_int(reader[10], 0, 1, "degraded") == 1;
+  reader.next_line("clocks <search_time_s> <evaluation_time_s>");
+  stats_.search_time_s = to_double_or_inf(reader[1], "search_time_s");
+  stats_.evaluation_time_s = to_double_or_inf(reader[2], "evaluation_time_s");
+  // Each section's header count must match its records: reading one
+  // record too many or too few lands on the wrong tag.
+  reader.next_line("rotations <count>");
+  for (std::size_t i = 0, n = to_int<std::size_t>(reader[1], "rotations");
+       i < n; ++i) {
+    reader.next_line("rotation <r> <before> <after> <evaluated> <time>");
+    stats_.rotations.push_back(
+        {.rotation = to_int<int>(reader[1], "rotation"),
+         .best_before_s = to_double_or_inf(reader[2], "before"),
+         .best_after_s = to_double_or_inf(reader[3], "after"),
+         .evaluated = to_int<std::size_t>(reader[4], "evaluated"),
+         .search_time_s = to_double_or_inf(reader[5], "time")});
   }
-  const auto ntraj = split("trajectory");
-  AM_REQUIRE(ntraj.size() == 1, "malformed trajectory header");
-  for (std::size_t i = 0, n = to_u(ntraj[0]); i < n; ++i) {
-    const auto f = split("point");
-    AM_REQUIRE(f.size() == 2, "malformed trajectory point");
-    trajectory_.push_back({to_d(f[0]), to_d(f[1])});
+  reader.next_line("trajectory <count>");
+  for (std::size_t i = 0, n = to_int<std::size_t>(reader[1], "trajectory");
+       i < n; ++i) {
+    reader.next_line("point <time> <value>");
+    trajectory_.push_back({to_double_or_inf(reader[1], "time"),
+                           to_double_or_inf(reader[2], "value")});
   }
-  const auto ntop = split("top");
-  AM_REQUIRE(ntop.size() == 1, "malformed top header");
-  const TaskGraph& graph = sim_.graph();
-  for (std::size_t i = 0, n = to_u(ntop[0]); i < n; ++i) {
-    const auto f = split("finalist");
-    AM_REQUIRE(f.size() == 1, "malformed finalist in evaluator state");
-    const double mean = to_d(f[0]);
-    std::string mapping_text;
-    for (std::size_t t = 0; t < graph.num_tasks(); ++t) {
-      std::string task_line;
-      AM_REQUIRE(std::getline(is, task_line),
-                 "truncated finalist mapping in evaluator state");
-      mapping_text += task_line + "\n";
-    }
-    top_.push_back(Entry{Mapping::parse(mapping_text, graph), mean});
+  reader.next_line("top <count>");
+  for (std::size_t i = 0, n = to_int<std::size_t>(reader[1], "top");
+       i < n; ++i) {
+    reader.next_line("finalist <mean>");
+    const double mean = to_double_or_inf(reader[1], "mean");
+    top_.push_back(Entry{Mapping::read(reader, sim_.graph()), mean});
   }
   // The profiles section is a verbatim database export; the top-k list and
   // incumbent were restored above, so the import must not rebuild them.
-  import_profiles_impl(is, /*update_top=*/false);
+  import_profiles_impl(reader, /*update_top=*/false);
 }
 
 const Mapping& EvaluatorView::best() const {

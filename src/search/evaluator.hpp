@@ -44,7 +44,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <limits>
 #include <memory>
 #include <span>
@@ -60,6 +59,7 @@ namespace automap {
 
 class Counter;
 class EvaluatorView;
+class LineReader;
 class Gauge;
 class Histogram;
 class Journal;
@@ -180,6 +180,9 @@ class Evaluator {
   /// malformed text. The wall-clock anchor restarts at zero — wall_time_s
   /// is explicitly excluded from determinism guarantees.
   void restore_state(const std::string& text);
+  /// Same, from the rest of `reader` (a checkpoint after its header and
+  /// mapping); the caller's at_line adds the line to errors.
+  void restore_state(LineReader& reader);
 
  private:
   friend class EvaluatorView;
@@ -288,10 +291,10 @@ class Evaluator {
   /// structural hash and mapping is already present (dedupe on import).
   void insert_top(const Mapping& mapping, double mean);
   /// Shared core of import_profiles and restore_state: parses a profiles
-  /// section from the stream. When `update_top` is false the top-k list and
-  /// incumbent are left untouched (restore_state rebuilds them verbatim
-  /// from the checkpoint's own section to preserve tie order).
-  void import_profiles_impl(std::istream& is, bool update_top);
+  /// section that runs to the end of the text. When `update_top` is false
+  /// the top-k list and incumbent are left untouched (restore_state
+  /// rebuilds them verbatim from its own section to preserve tie order).
+  void import_profiles_impl(LineReader& reader, bool update_top);
   /// Serializes the profiles database (every measured mapping with its
   /// mean) for reuse via SearchOptions::profiles_seed.
   [[nodiscard]] std::string export_profiles() const;

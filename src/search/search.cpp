@@ -10,6 +10,7 @@
 #include "src/support/error.hpp"
 #include "src/support/format.hpp"
 #include "src/support/json.hpp"
+#include "src/support/line_reader.hpp"
 
 namespace automap {
 
@@ -64,12 +65,6 @@ Aggregation parse_aggregation(const std::string& name) {
 
 /// Strict member decoders: wire requests and journal fingerprints must
 /// fail loudly on mistyped values, not silently fall back to defaults.
-int json_int(const JsonValue& v, const std::string& key) {
-  AM_REQUIRE(v.kind == JsonValue::Kind::kNumber,
-             "field '" + key + "' must be a number");
-  return static_cast<int>(v.number);
-}
-
 bool json_bool(const JsonValue& v, const std::string& key) {
   AM_REQUIRE(v.kind == JsonValue::Kind::kBool,
              "field '" + key + "' must be a boolean");
@@ -97,17 +92,9 @@ double json_wide(const JsonValue& v, const std::string& key) {
 std::uint64_t json_u64(const JsonValue& v, const std::string& key) {
   // 64-bit values are written as strings (JSON numbers lose precision past
   // 2^53) but hand-written requests may use plain numbers.
-  if (v.kind == JsonValue::Kind::kNumber)
-    return static_cast<std::uint64_t>(v.number);
-  if (v.kind == JsonValue::Kind::kString) {
-    try {
-      std::size_t used = 0;
-      const std::uint64_t parsed = std::stoull(v.string, &used);
-      if (used == v.string.size()) return parsed;
-    } catch (const std::exception&) {
-    }
-  }
-  throw Error("field '" + key + "' must be a 64-bit value");
+  if (v.kind == JsonValue::Kind::kString)
+    return to_int<std::uint64_t>(v.string, key);
+  return json_to_int<std::uint64_t>(v, key);
 }
 
 void check_schema(const JsonValue& v, const char* what) {
@@ -115,7 +102,7 @@ void check_schema(const JsonValue& v, const char* what) {
              std::string(what) + " must be a JSON object");
   const JsonValue* schema = v.find("schema");
   AM_REQUIRE(schema != nullptr, std::string(what) + " is missing 'schema'");
-  const int version = json_int(*schema, "schema");
+  const int version = json_to_int<int>(*schema, "schema");
   AM_REQUIRE(version == kSearchOptionsSchema,
              "unsupported " + std::string(what) + " schema " +
                  std::to_string(version) + " (this build speaks " +
@@ -168,15 +155,15 @@ SearchOptions search_options_from_json(const JsonValue& v) {
     } else if (key == "seed") {
       o.seed = json_u64(value, key);
     } else if (key == "rotations") {
-      o.rotations = json_int(value, key);
+      o.rotations = json_to_int<int>(value, key);
     } else if (key == "repeats") {
-      o.repeats = json_int(value, key);
+      o.repeats = json_to_int<int>(value, key);
     } else if (key == "budget") {
       o.time_budget_s = json_wide(value, key);
     } else if (key == "top_k") {
-      o.top_k = json_int(value, key);
+      o.top_k = json_to_int<int>(value, key);
     } else if (key == "final_repeats") {
-      o.final_repeats = json_int(value, key);
+      o.final_repeats = json_to_int<int>(value, key);
     } else if (key == "objective") {
       const std::string name = json_str(value, key);
       if (name == "time") {
@@ -196,21 +183,19 @@ SearchOptions search_options_from_json(const JsonValue& v) {
     } else if (key == "frozen") {
       AM_REQUIRE(value.kind == JsonValue::Kind::kArray,
                  "field 'frozen' must be an array");
-      for (const JsonValue& f : value.array) {
-        AM_REQUIRE(f.kind == JsonValue::Kind::kNumber,
-                   "field 'frozen' must hold task indices");
-        o.frozen_tasks.push_back(TaskId(static_cast<std::size_t>(f.number)));
-      }
+      for (const JsonValue& f : value.array)
+        o.frozen_tasks.push_back(
+            TaskId(json_to_int<std::uint32_t>(f, key)));
     } else if (key == "max_retries") {
-      o.resilience.max_retries = json_int(value, key);
+      o.resilience.max_retries = json_to_int<int>(value, key);
     } else if (key == "quarantine_after") {
-      o.resilience.quarantine_after = json_int(value, key);
+      o.resilience.quarantine_after = json_to_int<int>(value, key);
     } else if (key == "retry_backoff_s") {
       o.resilience.retry_backoff_s = json_wide(value, key);
     } else if (key == "aggregation") {
       o.resilience.aggregation = parse_aggregation(json_str(value, key));
     } else if (key == "snapshot_every") {
-      o.journal_snapshot_every = json_int(value, key);
+      o.journal_snapshot_every = json_to_int<int>(value, key);
     } else {
       throw Error("unknown SearchOptions field '" + key + "'");
     }
@@ -245,7 +230,7 @@ SimOptions sim_options_from_json(const JsonValue& v) {
     if (key == "schema") {
       continue;
     } else if (key == "iterations") {
-      o.iterations = json_int(value, key);
+      o.iterations = json_to_int<int>(value, key);
     } else if (key == "noise_sigma") {
       o.noise_sigma = json_wide(value, key);
     } else if (key == "fault_crash") {

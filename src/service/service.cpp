@@ -6,7 +6,6 @@
 #include <exception>
 #include <filesystem>
 #include <optional>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -19,6 +18,7 @@
 #include "src/support/durable.hpp"
 #include "src/support/error.hpp"
 #include "src/support/json.hpp"
+#include "src/support/line_reader.hpp"
 
 namespace automap {
 
@@ -68,7 +68,8 @@ SubmitSpec parse_submit(const JsonValue& request) {
     spec.options = search_options_from_json(*options);
   if (const JsonValue* sim = request.find("sim"))
     spec.sim = sim_options_from_json(*sim);
-  spec.priority = static_cast<int>(request.num_or("priority", 0));
+  if (const JsonValue* priority = request.find("priority"))
+    spec.priority = json_to_int<int>(*priority, "priority");
   spec.want_journal = request.bool_or("journal", false);
   spec.reuse_measurements = request.bool_or("reuse_measurements", false);
   spec.deadline_ms = request.num_or("deadline_ms", 0);
@@ -121,12 +122,13 @@ std::optional<std::string> read_if_exists(const std::string& path) {
   return load_text(path);
 }
 
-std::string require_job_field(const JsonValue& request) {
+/// The request's job id and its decimal text.
+std::pair<std::uint64_t, std::string> require_job_field(
+    const JsonValue& request) {
   const JsonValue* job = request.find("job");
-  AM_REQUIRE(job != nullptr && job->kind == JsonValue::Kind::kNumber,
-             "request needs a numeric 'job' field");
-  return std::to_string(
-      static_cast<std::uint64_t>(job->number));
+  AM_REQUIRE(job != nullptr, "request needs a numeric 'job' field");
+  const auto id = json_to_int<std::uint64_t>(*job, "job");
+  return {id, std::to_string(id)};
 }
 
 /// Bytes of regular files under `dir` (0 when absent) — the store's
@@ -723,9 +725,9 @@ std::string MappingService::handle_submit(const JsonValue& request,
 }
 
 std::string MappingService::handle_status(const JsonValue& request) {
-  const std::string id_text = require_job_field(request);
+  const auto [id, id_text] = require_job_field(request);
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = jobs_.find(std::stoull(id_text));
+  const auto it = jobs_.find(id);
   if (it == jobs_.end())
     return wire_error("not_found", "no job " + id_text);
   std::string out = "{\"type\":\"status\",\"job\":" + id_text +
@@ -745,8 +747,7 @@ std::string MappingService::handle_status(const JsonValue& request) {
 }
 
 std::string MappingService::handle_trace(const JsonValue& request) {
-  const std::string id_text = require_job_field(request);
-  const std::uint64_t id = std::stoull(id_text);
+  const auto [id, id_text] = require_job_field(request);
   bool known = recorder_.has(id);
   if (!known) {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -761,9 +762,9 @@ std::string MappingService::handle_trace(const JsonValue& request) {
 }
 
 std::string MappingService::handle_result(const JsonValue& request) {
-  const std::string id_text = require_job_field(request);
+  const auto [id, id_text] = require_job_field(request);
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = jobs_.find(std::stoull(id_text));
+  const auto it = jobs_.find(id);
   if (it == jobs_.end())
     return wire_error("not_found", "no job " + id_text);
   Job& job = it->second;
@@ -779,13 +780,14 @@ std::string MappingService::handle_result(const JsonValue& request) {
 }
 
 std::string MappingService::handle_journal(const JsonValue& request) {
-  const std::string id_text = require_job_field(request);
+  const auto [id, id_text] = require_job_field(request);
+  const JsonValue* cursor = request.find("after");
   const long long after =
-      static_cast<long long>(request.num_or("after", -1));
+      cursor == nullptr ? -1 : json_to_int<long long>(*cursor, "after");
   std::string path;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = jobs_.find(std::stoull(id_text));
+    const auto it = jobs_.find(id);
     if (it == jobs_.end())
       return wire_error("not_found", "no job " + id_text);
     if (!it->second.want_journal)
@@ -823,9 +825,9 @@ std::string MappingService::handle_journal(const JsonValue& request) {
 }
 
 std::string MappingService::handle_cancel(const JsonValue& request) {
-  const std::string id_text = require_job_field(request);
+  const auto [id, id_text] = require_job_field(request);
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = jobs_.find(std::stoull(id_text));
+  const auto it = jobs_.find(id);
   if (it == jobs_.end())
     return wire_error("not_found", "no job " + id_text);
   Job& job = it->second;
@@ -1176,15 +1178,10 @@ void MappingService::recover_store_locked() {
   for (const fs::directory_entry& entry :
        fs::directory_iterator(jobs_root, ec)) {
     if (!entry.is_directory()) continue;
-    std::uint64_t id = 0;
-    try {
-      std::size_t used = 0;
-      const std::string name = entry.path().filename().string();
-      id = std::stoull(name, &used);
-      if (used != name.size() || id == 0) continue;
-    } catch (const std::exception&) {
-      continue;
-    }
+    // Job dirs are named by their decimal id; ids start at 1.
+    const std::uint64_t id = parse_int<std::uint64_t>(
+        entry.path().filename().string(), 1, ~std::uint64_t{0}).value_or(0);
+    if (id == 0) continue;
     // Tombstones first: a "purge" tombstone marks a deletion that did not
     // finish — complete it and skip the dir. A "keep" tombstone marks a
     // job cancelled while running; it recovers as cancelled below, with
@@ -1290,18 +1287,12 @@ void MappingService::recover_store_locked() {
   for (const fs::directory_entry& entry :
        fs::directory_iterator(cache_root, cec)) {
     if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    try {
-      std::size_t used = 0;
-      const std::uint64_t key =
-          std::stoull(entry.path().stem().string(), &used, 16);
-      // Only files our own bucket naming produced participate in the
-      // budget; anything else in cache/ is left alone.
-      if (hex_u64(key) + ".profiles" != name) continue;
-      eval_buckets_.emplace(key, 0);
-    } catch (const std::exception&) {
-      continue;
-    }
+    const std::optional<std::uint64_t> key = parse_int<std::uint64_t>(
+        entry.path().stem().string(), 0, ~std::uint64_t{0}, 16);
+    // Only files our own bucket naming produced participate in the
+    // budget; anything else in cache/ is left alone.
+    if (key && hex_u64(*key) + ".profiles" == entry.path().filename().string())
+      eval_buckets_.emplace(*key, 0);
   }
   for (auto& [key, tick] : eval_buckets_) tick = ++serve_tick_;
 }

@@ -11,6 +11,8 @@
 
 #include "src/support/crash_points.hpp"
 #include "src/support/error.hpp"
+#include "src/support/json.hpp"
+#include "src/support/line_reader.hpp"
 
 namespace automap {
 
@@ -26,16 +28,6 @@ constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 /// separates it from the payload (which may or may not end in a newline
 /// of its own — the separator is always added, so stripping is exact).
 constexpr std::string_view kTrailerHead = "#automap-checksum 1 ";
-
-[[nodiscard]] std::string hex16(std::uint64_t value) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[value & 0xf];
-    value >>= 4;
-  }
-  return out;
-}
 
 void write_and_fsync(const std::string& path, const std::string& text,
                      const char* kind) {
@@ -94,7 +86,7 @@ std::string with_checksum_trailer(std::string_view payload) {
   out += kTrailerHead;
   out += std::to_string(payload.size());
   out += ' ';
-  out += hex16(fnv1a64(payload));
+  out += hex_u64(fnv1a64(payload));
   out += '\n';
   return out;
 }
@@ -132,34 +124,16 @@ DurableLoad load_checksummed(const std::string& path) {
   const std::string needle = "\n" + std::string(kTrailerHead);
   const std::size_t sep = stored.rfind(needle);
   if (sep == std::string::npos) return result;
-  const std::size_t line = sep + needle.size();
-  // Parse "<len> <16 hex>\n" strictly.
-  std::size_t pos = line;
-  std::uint64_t length = 0;
-  bool any_digit = false;
-  while (pos < stored.size() && stored[pos] >= '0' && stored[pos] <= '9') {
-    length = length * 10 + static_cast<std::uint64_t>(stored[pos] - '0');
-    ++pos;
-    any_digit = true;
-  }
-  if (!any_digit || pos + 18 != stored.size() || stored[pos] != ' ' ||
-      stored.back() != '\n')
-    return result;
-  std::uint64_t sum = 0;
-  for (std::size_t i = pos + 1; i < pos + 17; ++i) {
-    const char c = stored[i];
-    std::uint64_t digit = 0;
-    if (c >= '0' && c <= '9')
-      digit = static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f')
-      digit = static_cast<std::uint64_t>(c - 'a') + 10;
-    else
-      return result;
-    sum = (sum << 4) | digit;
-  }
-  if (length != sep) return result;  // truncated or padded payload
+  // The rest of the file must be exactly "<len> <16 hex>\n".
+  const std::string_view trailer =
+      std::string_view(stored).substr(sep + needle.size());
+  const std::size_t space = trailer.find(' ');
+  if (space == std::string_view::npos || trailer.size() != space + 18 ||
+      trailer.back() != '\n' ||
+      parse_int<std::uint64_t>(trailer.substr(0, space), 0, sep) != sep)
+    return result;  // malformed, truncated or padded
   const std::string_view payload(stored.data(), sep);
-  if (fnv1a64(payload) != sum) return result;
+  if (trailer.substr(space + 1, 16) != hex_u64(fnv1a64(payload))) return result;
   result.status = DurableLoad::Status::kOk;
   result.payload = std::string(payload);
   return result;

@@ -11,11 +11,15 @@
 // insertion order (journal events are small and key order matters for
 // byte-identity checks).
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "src/support/error.hpp"
 
 namespace automap {
 
@@ -48,6 +52,22 @@ struct JsonValue {
   [[nodiscard]] double wide_num_or(std::string_view key,
                                    double fallback) const;
 };
+
+/// The one checked conversion from a JSON number to an integer in
+/// [lo, hi]. A non-number, a fraction, NaN or an out-of-range value throws
+/// Error naming `key`, where a bare static_cast would be undefined.
+template <typename T>
+[[nodiscard]] T json_to_int(const JsonValue& v, std::string_view key,
+                            T lo = std::numeric_limits<T>::min(),
+                            T hi = std::numeric_limits<T>::max()) {
+  // hi + 1.0 rounds to at most 2^bits, so every integral x below it fits.
+  const double x = v.number;
+  if (v.kind != JsonValue::Kind::kNumber || x != std::trunc(x) ||
+      x < static_cast<double>(lo) || x >= static_cast<double>(hi) + 1.0)
+    throw Error("field '" + std::string(key) + "' must be an integer in [" +
+                std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  return static_cast<T>(x);
+}
 
 /// Parses one JSON document (throws Error on malformed input, with an
 /// offset in the message). Trailing whitespace is allowed; trailing

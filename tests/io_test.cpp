@@ -91,6 +91,49 @@ TEST(MachineIo, CommentsAndBlankLinesAreIgnored)
   EXPECT_EQ(m.procs_per_node(ProcKind::kCpu), 4);
 }
 
+/// `text` with the first `from` replaced by `to`.
+std::string with(std::string text, const std::string& from,
+                 const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return text.replace(at, from.size(), to);
+}
+
+/// The Error message parsing `text` as a machine raises; empty when it
+/// parses.
+std::string machine_error(const std::string& text) {
+  try {
+    (void)machine_from_string(text);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(MachineIo, NarrowingAndNonFiniteFieldsNameTheLineAndField) {
+  const std::string text = machine_to_string(make_shepard(2));
+  ASSERT_EQ(machine_error(text), "");
+  // Each of these used to be narrowed or accepted: 4294967298 nodes became
+  // 2, 4294967344 CPUs became 48, inf speed was searched, and 4000000000
+  // nodes was refused as "needs at least one node".
+  EXPECT_EQ(machine_error(with(text, "nodes 2", "nodes 4294967298")),
+            "line 1: nodes: expected an integer in [1, 2147483647], got "
+            "'4294967298'");
+  EXPECT_EQ(machine_error(with(text, "nodes 2", "nodes 4000000000")),
+            "line 1: nodes: expected an integer in [1, 2147483647], got "
+            "'4000000000'");
+  EXPECT_EQ(machine_error(with(text, "count 48", "count 4294967344")),
+            "line 4: count: expected an integer in [1, 2147483647], got "
+            "'4294967344'");
+  EXPECT_EQ(machine_error(with(text, "count 48 speed 1", "count 48 speed inf")),
+            "line 4: speed: expected a finite number, got 'inf'");
+  EXPECT_EQ(machine_error(with(text, "speed 1", "speed 1x")),
+            "line 4: speed: expected a finite number, got '1x'");
+  EXPECT_EQ(machine_error(with(text, "capacity 68719476736", "capacity -1")),
+            "line 6: capacity: expected an integer in [1, "
+            "18446744073709551615], got '-1'");
+}
+
 TEST(TaskGraphIo, RoundTripPreservesStructure) {
   const TaskGraph original = make_pennant(pennant_config_for(2, 1)).graph;
   const TaskGraph parsed =
@@ -141,6 +184,24 @@ TEST(TaskGraphIo, RejectsMalformedInput) {
   EXPECT_THROW(
       (void)task_graph_from_string("taskgraph x\nunknown directive\n"),
       Error);
+}
+
+TEST(TaskGraphIo, HeaderCountsMustMatchTheRecords) {
+  const std::string text =
+      task_graph_to_string(make_pennant(pennant_config_for(1, 0)).graph);
+  const std::size_t edges_at = text.find(" edges ") + 7;
+  const std::string edges =
+      text.substr(edges_at, text.find('\n') - edges_at);
+  // The ROADMAP reproducer: this header used to become 43 edges silently.
+  const std::string wrong = with(text, " edges " + edges, " edges 4294967339");
+  try {
+    (void)task_graph_from_string(wrong);
+    FAIL() << "a header count past the records was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "line 1: edges: header promises 4294967339, the file has " +
+                  edges);
+  }
 }
 
 TEST(FileIo, SaveLoadRoundTrip) {

@@ -109,6 +109,46 @@ TEST_F(MappingFixture, ParseRejectsMalformedText) {
   EXPECT_THROW(Mapping::parse("", g), Error);  // covers no task
 }
 
+/// The Error message parsing `text` raises; empty when it parses.
+std::string parse_error(const std::string& text, const TaskGraph& graph) {
+  try {
+    (void)Mapping::parse(text, graph);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(MappingFixture, ParseRejectsRepeatedTaskIndex) {
+  // task 0 twice and task 1 never: task 1 must not silently keep its
+  // default.
+  const std::string error = parse_error(
+      "task 0 dist GPU FrameBuffer FrameBuffer\n"
+      "task 0 leader CPU System System\n",
+      g);
+  EXPECT_EQ(error.rfind("line 2: ", 0), 0u) << error;
+  EXPECT_NE(error.find("task 0 appears more than once"), std::string::npos);
+}
+
+TEST_F(MappingFixture, ParseRejectsTokensAfterTheLastArgument) {
+  const std::string error = parse_error(
+      "task 0 dist GPU FrameBuffer FrameBuffer garbage extra\n"
+      "task 1 dist CPU System\n",
+      g);
+  EXPECT_EQ(error.rfind("line 1: ", 0), 0u) << error;
+}
+
+TEST_F(MappingFixture, ParseSkipsCommentsAndBlankLines) {
+  Mapping m(g);
+  m.at(t1).proc = ProcKind::kCpu;
+  m.set_primary_memory(t1, 0, MemKind::kSystem);
+  const std::string text = "# best mapping found\n\n"
+                           "task 0 dist GPU FrameBuffer FrameBuffer  # hot\n"
+                           "\n"
+                           "task 1 dist CPU System\n";
+  EXPECT_EQ(Mapping::parse(text, g), m);
+}
+
 TEST_F(MappingFixture, PriorityListsSerialize) {
   Mapping m(g);
   m.at(t0).arg_memories[0] = {MemKind::kFrameBuffer, MemKind::kZeroCopy};

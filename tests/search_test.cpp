@@ -354,6 +354,77 @@ TEST(ProfilesDb, RejectsMalformedText) {
   EXPECT_THROW(Evaluator(sim, bad), Error);
 }
 
+TEST(ProfilesDb, HeaderCountMustMatchTheEntries) {
+  MiniApp app;
+  const MachineModel machine = make_shepard(1);
+  Simulator sim(machine, app.g, {.iterations = 2});
+  Evaluator source(sim, {.repeats = 2, .seed = 3});
+  (void)source.evaluate(search_starting_point(app.g, machine));
+  const std::string db = source.view().export_profiles();
+  ASSERT_EQ(db.rfind("profiles 1\n", 0), 0u);
+
+  SearchOptions options{.repeats = 2};
+  options.profiles_seed = db;
+  EXPECT_NO_THROW(Evaluator(sim, options));
+  for (const char* count : {"profiles 0\n", "profiles 2\n"}) {
+    options.profiles_seed = count + db.substr(db.find('\n') + 1);
+    try {
+      Evaluator eval(sim, options);
+      ADD_FAILURE() << count << "was accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("line ", 0), 0u) << e.what();
+    }
+  }
+}
+
+/// Options JSON with one field beside the schema.
+std::string options_with(const std::string& field) {
+  return "{\"schema\":" + std::to_string(kSearchOptionsSchema) + "," +
+         field + "}";
+}
+
+TEST(SearchOptionsJson, RejectsFractionalOutOfRangeAndNegativeIntegers) {
+  EXPECT_EQ(search_options_from_json(options_with("\"repeats\":3")).repeats,
+            3);
+  EXPECT_THROW((void)search_options_from_json(options_with("\"repeats\":2.5")),
+               Error);
+  EXPECT_THROW((void)search_options_from_json(
+                   options_with("\"rotations\":4294967297")),
+               Error);
+  EXPECT_THROW((void)search_options_from_json(options_with("\"seed\":-1")),
+               Error);
+  EXPECT_THROW(
+      (void)search_options_from_json(options_with("\"seed\":\"-1\"")),
+      Error);
+  EXPECT_THROW(
+      (void)search_options_from_json(options_with("\"frozen\":[0.5]")),
+      Error);
+}
+
+TEST(SearchOptionsJson, NegativeFinalRepeatsIsOneErrorAtAnyThreadCount) {
+  MiniApp app;
+  const MachineModel machine = make_shepard(1);
+  Simulator sim(machine, app.g, {.iterations = 2});
+  SearchOptions options =
+      search_options_from_json(options_with("\"final_repeats\":-1"));
+  options.rotations = 1;
+  options.repeats = 2;
+  const auto error_at = [&](int threads) -> std::string {
+    options.threads = threads;
+    try {
+      (void)run_ccd(sim, options);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string serial = error_at(1);
+  EXPECT_NE(serial.find("final_repeats must be positive"), std::string::npos)
+      << serial;
+  EXPECT_EQ(serial.find('\n'), std::string::npos);
+  EXPECT_EQ(error_at(2), serial);
+}
+
 TEST(SearchResult, AlgorithmNamesAreStable) {
   MiniApp app;
   const MachineModel machine = make_shepard(1);

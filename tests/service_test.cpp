@@ -789,6 +789,26 @@ TEST(Service, AbsurdDeadlineIsRejectedAtParseTime) {
       handle_json(service, "{\"op\":\"jobs\"}").find("jobs")->array.empty());
 }
 
+TEST(Service, OutOfRangeJobAndPriorityAreBadRequests) {
+  MappingService service({.store_dir = fresh_store("int-fields"),
+                          .eval_threads = 1,
+                          .job_workers = 0});
+  // Both reach an integer field through a double; a bare cast of either
+  // would be undefined behaviour.
+  EXPECT_EQ(handle_json(service, "{\"op\":\"status\",\"job\":-1}")
+                .str_or("code", ""),
+            "bad_request");
+  EXPECT_EQ(handle_json(service, "{\"op\":\"cancel\",\"job\":0.5}")
+                .str_or("code", ""),
+            "bad_request");
+  EXPECT_EQ(handle_json(service, submit_request(small_options(7),
+                                                ",\"priority\":1e300"))
+                .str_or("code", ""),
+            "bad_request");
+  EXPECT_TRUE(
+      handle_json(service, "{\"op\":\"jobs\"}").find("jobs")->array.empty());
+}
+
 TEST(Service, RevivalPersistsTheAcceptedDeadline) {
   const std::string store = fresh_store("deadline-revive-persist");
   MappingService service(
