@@ -1,7 +1,6 @@
 #include "src/machine/kinds.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <string>
 
 #include "src/support/error.hpp"
@@ -38,27 +37,30 @@ std::ostream& operator<<(std::ostream& os, MemKind k) {
 }
 
 namespace {
-std::string to_upper(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return std::toupper(c); });
-  return out;
+/// True when `name` spells `upper` in any letter case. ASCII only, as the
+/// accepted spellings are; no locale and no copy of the token.
+bool iequals(std::string_view name, std::string_view upper) {
+  return std::equal(name.begin(), name.end(), upper.begin(), upper.end(),
+                    [](char c, char u) {
+                      return (c >= 'a' && c <= 'z' ? c - 'a' + 'A' : c) == u;
+                    });
 }
 }  // namespace
 
 ProcKind parse_proc_kind(std::string_view name) {
-  const std::string u = to_upper(name);
-  if (u == "CPU") return ProcKind::kCpu;
-  if (u == "GPU") return ProcKind::kGpu;
+  if (iequals(name, "CPU")) return ProcKind::kCpu;
+  if (iequals(name, "GPU")) return ProcKind::kGpu;
   throw Error("unknown processor kind '" + std::string(name) + "'");
 }
 
 MemKind parse_mem_kind(std::string_view name) {
-  const std::string u = to_upper(name);
-  if (u == "SYSTEM" || u == "SYSMEM") return MemKind::kSystem;
-  if (u == "ZEROCOPY" || u == "ZC" || u == "ZERO-COPY")
+  if (iequals(name, "SYSTEM") || iequals(name, "SYSMEM"))
+    return MemKind::kSystem;
+  if (iequals(name, "ZEROCOPY") || iequals(name, "ZC") ||
+      iequals(name, "ZERO-COPY"))
     return MemKind::kZeroCopy;
-  if (u == "FRAMEBUFFER" || u == "FB" || u == "FRAME-BUFFER")
+  if (iequals(name, "FRAMEBUFFER") || iequals(name, "FB") ||
+      iequals(name, "FRAME-BUFFER"))
     return MemKind::kFrameBuffer;
   throw Error("unknown memory kind '" + std::string(name) + "'");
 }

@@ -27,11 +27,7 @@ MemKind Mapping::primary_memory(TaskId id, std::size_t arg) const {
 void Mapping::set_primary_memory(TaskId id, std::size_t arg, MemKind kind) {
   TaskMapping& tm = at(id);
   AM_REQUIRE(arg < tm.arg_memories.size(), "argument index out of range");
-  if (tm.arg_memories[arg].empty()) {
-    tm.arg_memories[arg] = {kind};
-  } else {
-    tm.arg_memories[arg].front() = kind;
-  }
+  tm.arg_memories[arg].set_front(kind);
 }
 
 std::vector<std::string> Mapping::violations(
@@ -167,13 +163,18 @@ Mapping Mapping::read(LineReader& reader, const TaskGraph& graph) {
       throw Error("task " + std::to_string(index) + " needs " +
                   std::to_string(tm.arg_memories.size()) + " memory entries");
     for (std::size_t a = 0; a < tm.arg_memories.size(); ++a) {
-      // A comma-separated priority list; every entry must name a kind.
+      // A comma-separated priority list; every entry must name a kind, and
+      // no kind twice (so a list holds at most kNumMemKinds entries).
       const std::string_view list = reader[4 + a];
       MemPriority& priority = tm.arg_memories[a];
       priority.clear();
       for (std::size_t start = 0; start <= list.size();) {
         const std::size_t comma = std::min(list.find(',', start), list.size());
-        priority.push_back(parse_mem_kind(list.substr(start, comma - start)));
+        const MemKind kind = parse_mem_kind(list.substr(start, comma - start));
+        if (priority.contains(kind))
+          throw Error("memory priority list '" + std::string(list) +
+                      "' names " + std::string(to_string(kind)) + " twice");
+        priority.push_back(kind);
         start = comma + 1;
       }
     }

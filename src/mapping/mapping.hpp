@@ -9,22 +9,76 @@
 // of memory kinds; the first kind whose concrete memory can hold the data is
 // used, which is how the memory-constrained experiments avoid hard failures.
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "src/machine/machine.hpp"
 #include "src/support/error.hpp"
 #include "src/support/id.hpp"
+#include "src/support/small_vector.hpp"
 #include "src/taskgraph/task_graph.hpp"
 
 namespace automap {
 
 class LineReader;
 
-/// Memory priority list for one collection argument. Usually size one; the
-/// memory-constrained mode appends fallbacks.
-using MemPriority = std::vector<MemKind>;
+/// Memory priority list for one collection argument: distinct kinds, most
+/// preferred first. Usually size one; the memory-constrained mode appends
+/// fallbacks. A kind appears at most once, so the list is stored inline in
+/// kNumMemKinds slots. With the per-task argument lists also inline, copying
+/// a mapping — which the search does for thousands of candidates — costs
+/// one allocation.
+class MemPriority {
+ public:
+  MemPriority() = default;
+  MemPriority(std::initializer_list<MemKind> kinds) {
+    for (const MemKind k : kinds) push_back(k);
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] MemKind operator[](std::size_t i) const { return kinds_[i]; }
+  [[nodiscard]] MemKind front() const { return kinds_[0]; }
+  [[nodiscard]] const MemKind* begin() const { return kinds_.data(); }
+  [[nodiscard]] const MemKind* end() const { return kinds_.data() + size_; }
+  [[nodiscard]] bool contains(MemKind k) const {
+    return std::find(begin(), end(), k) != end();
+  }
+
+  void push_back(MemKind k) {
+    AM_REQUIRE(size_ < kinds_.size() && !contains(k),
+               "memory priority list is full or repeats a kind");
+    kinds_[size_++] = k;
+  }
+  /// Replaces the list with `n` copies of `k`; n is 0 or 1, as the kinds
+  /// must stay distinct.
+  void assign(std::size_t n, MemKind k) {
+    clear();
+    for (std::size_t i = 0; i < n; ++i) push_back(k);
+  }
+  void clear() { size_ = 0; }
+  /// Makes `k` the first choice: replaces the current first kind (or
+  /// starts an empty list) and drops a later occurrence of `k`.
+  void set_front(MemKind k) {
+    if (empty()) return push_back(k);
+    size_ = static_cast<std::uint8_t>(
+        std::remove(kinds_.begin() + 1, kinds_.begin() + size_, k) -
+        kinds_.begin());
+    kinds_[0] = k;
+  }
+
+  friend bool operator==(const MemPriority& a, const MemPriority& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  std::array<MemKind, kNumMemKinds> kinds_{};
+  std::uint8_t size_ = 0;
+};
 
 /// Kind-level mapping of one group task and all of its collection arguments.
 struct TaskMapping {
@@ -40,7 +94,9 @@ struct TaskMapping {
   bool blocked = false;
   ProcKind proc = ProcKind::kGpu;
   /// One priority list per collection argument, aligned with GroupTask::args.
-  std::vector<MemPriority> arg_memories;
+  /// Stored inline up to seven arguments, the widest task of the five
+  /// applications (stencil's), so copying a mapping allocates once.
+  SmallVector<MemPriority, 7> arg_memories;
 
   bool operator==(const TaskMapping&) const = default;
 };

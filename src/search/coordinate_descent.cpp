@@ -6,9 +6,10 @@
 #include <cstdio>
 #include <functional>
 #include <limits>
-#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/io/text_io.hpp"
 #include "src/report/journal.hpp"
@@ -20,6 +21,39 @@
 
 namespace automap {
 namespace detail {
+namespace {
+
+/// Worklist that pops its smallest element first, as std::set::begin()
+/// would, so the fixed point below visits arguments in the same order.
+/// Kept as a flat vector sorted descending: popping is a pop_back, and no
+/// node is allocated per element.
+template <typename T>
+class MinWorklist {
+ public:
+  [[nodiscard]] bool empty() const { return items_.empty(); }
+  void insert(const T& v) {
+    const auto it = find(v);
+    if (it == items_.end() || *it != v) items_.insert(it, v);
+  }
+  void erase(const T& v) {
+    const auto it = find(v);
+    if (it != items_.end() && *it == v) items_.erase(it);
+  }
+  T pop() {
+    const T v = items_.back();
+    items_.pop_back();
+    return v;
+  }
+
+ private:
+  typename std::vector<T>::iterator find(const T& v) {
+    return std::lower_bound(items_.begin(), items_.end(), v, std::greater<>());
+  }
+
+  std::vector<T> items_;
+};
+
+}  // namespace
 
 OverlapMap build_overlap_map(const TaskGraph& graph,
                              const std::vector<OverlapEdge>& edges,
@@ -50,27 +84,27 @@ OverlapMap build_overlap_map(const TaskGraph& graph,
     for (std::size_t a = 0; a < task.args.size(); ++a) {
       const ArgRef self{task.id, a};
       const CollectionId c = task.args[a].collection;
-      std::set<ArgRef> related;
+      std::vector<ArgRef>& related = map[task.id.index()][a];
       for (const CollectionId other : adj[c.index()]) {
         for (const ArgRef& ref : uses[other.index()]) {
-          if (ref == self) continue;
-          related.insert(ref);
+          if (ref != self) related.push_back(ref);
         }
       }
-      map[task.id.index()][a].assign(related.begin(), related.end());
+      std::sort(related.begin(), related.end());
+      related.erase(std::unique(related.begin(), related.end()),
+                    related.end());
     }
   }
   return map;
 }
 
-Mapping colocation_constraints(const Mapping& f, TaskId t, std::size_t arg,
+Mapping colocation_constraints(Mapping fp, TaskId t, std::size_t arg,
                                ProcKind k, MemKind r,
                                const OverlapMap& overlap,
                                const TaskGraph& graph,
                                const MachineModel& machine) {
-  Mapping fp = f;
-  std::set<TaskId> t_check;
-  std::set<ArgRef> c_check;
+  MinWorklist<TaskId> t_check;
+  MinWorklist<ArgRef> c_check;
 
   // Map every argument co-located with (t, arg) to r (Algorithm 2 ll. 4-6).
   t_check.insert(t);
@@ -87,8 +121,7 @@ Mapping colocation_constraints(const Mapping& f, TaskId t, std::size_t arg,
     AM_CHECK(--guard > 0, "co-location fixed point failed to converge");
 
     while (!t_check.empty()) {
-      const TaskId ti = *t_check.begin();
-      t_check.erase(t_check.begin());
+      const TaskId ti = t_check.pop();
       const GroupTask& task_i = graph.task(ti);
       // First pass: does any argument violate constraint 1 under the
       // task's current processor? If so, pull the task to k…
@@ -107,8 +140,7 @@ Mapping colocation_constraints(const Mapping& f, TaskId t, std::size_t arg,
     }
 
     while (!c_check.empty()) {
-      const ArgRef ref = *c_check.begin();
-      c_check.erase(c_check.begin());
+      const ArgRef ref = c_check.pop();
 
       // Arguments co-located with the primary decision must stay on r
       // (Algorithm 2 ll. 17-18). A propagation from a different co-location
@@ -427,18 +459,16 @@ void optimize_task(TaskId t, Mapping& f, double& p, Evaluator& eval,
           candidate.at(t).proc = k;
           candidate.set_primary_memory(t, a, r);
           if (overlap != nullptr) {
-            candidate = detail::colocation_constraints(
-                candidate, t, a, k, r, *overlap, graph, machine);
-          } else {
-            // Plain CD: repair the task's other arguments so the processor
-            // switch yields an executable mapping (the runtime's fallback).
-            for (std::size_t other = 0; other < task.args.size(); ++other) {
-              if (other == a) continue;
-              if (!machine.addressable(k,
-                                       candidate.primary_memory(t, other)))
-                candidate.set_primary_memory(t, other,
-                                             machine.best_memory_for(k));
-            }
+            return detail::colocation_constraints(
+                std::move(candidate), t, a, k, r, *overlap, graph, machine);
+          }
+          // Plain CD: repair the task's other arguments so the processor
+          // switch yields an executable mapping (the runtime's fallback).
+          for (std::size_t other = 0; other < task.args.size(); ++other) {
+            if (other == a) continue;
+            if (!machine.addressable(k, candidate.primary_memory(t, other)))
+              candidate.set_primary_memory(t, other,
+                                           machine.best_memory_for(k));
           }
           return candidate;
         });

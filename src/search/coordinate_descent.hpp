@@ -61,9 +61,10 @@ using OverlapMap = std::vector<std::vector<std::vector<ArgRef>>>;
     const FrozenTaskSet* frozen = nullptr);
 
 /// Algorithm 2: returns f' = f with (t, arg) mapped to (k, r) and the
-/// co-location constraints re-established by fixed-point iteration.
+/// co-location constraints re-established by fixed-point iteration. `f` is
+/// taken by value: a caller done with its copy moves it in.
 [[nodiscard]] Mapping colocation_constraints(
-    const Mapping& f, TaskId t, std::size_t arg, ProcKind k, MemKind r,
+    Mapping f, TaskId t, std::size_t arg, ProcKind k, MemKind r,
     const OverlapMap& overlap, const TaskGraph& graph,
     const MachineModel& machine);
 

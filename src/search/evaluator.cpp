@@ -353,24 +353,24 @@ void Evaluator::import_profiles_impl(LineReader& reader, bool update_top) {
       // checkpoint restore the top-k list is restored verbatim from its
       // own section instead — re-deriving it here could break mean ties in
       // a different order than the original chronological insertions.)
-      insert_top(mapping, mean);
+      insert_top(key, mapping, mean);
       best_seconds_ = std::min(best_seconds_, mean);
     }
     profiles_.insert_or_assign(
-        key, Entry{std::move(mapping), mean, censored, quarantined});
+        key, Entry{key, std::move(mapping), mean, censored, quarantined});
   }
   if (reader.next())
     throw Error("more entries than the 'profiles' header promises");
 }
 
-void Evaluator::insert_top(const Mapping& mapping, double mean) {
-  const std::uint64_t key = mapping.hash();
+void Evaluator::insert_top(std::uint64_t key, const Mapping& mapping,
+                           double mean) {
   for (const Entry& e : top_)
-    if (e.mapping.hash() == key && e.mapping == mapping) return;
+    if (e.key == key && e.mapping == mapping) return;
   const auto pos = std::lower_bound(
       top_.begin(), top_.end(), mean,
       [](const Entry& e, double v) { return e.mean_seconds < v; });
-  top_.insert(pos, Entry{mapping, mean});
+  top_.insert(pos, Entry{key, mapping, mean});
   if (top_.size() > static_cast<std::size_t>(options_.top_k))
     top_.pop_back();
 }
@@ -381,7 +381,9 @@ Mapping Evaluator::with_fallbacks(const Mapping& mapping) const {
   const MachineModel& machine = sim_.machine();
   for (const GroupTask& task : sim_.graph().tasks()) {
     TaskMapping& tm = out.at(task.id);
-    // Addressable kinds from this task's processor, best bandwidth first.
+    // Addressable kinds from this task's processor, best bandwidth first;
+    // a machine has one memory group per kind, so the lists built below
+    // name each kind once, as MemPriority requires.
     std::vector<MemKind> order = machine.memories_addressable_by(tm.proc);
     std::sort(order.begin(), order.end(), [&](MemKind a, MemKind b) {
       return machine.affinity(tm.proc, a).bandwidth_bytes_per_s >
@@ -542,7 +544,7 @@ std::size_t Evaluator::evaluate_batch(
     const char* status;
     if (plan.invalid) {
       ++stats_.invalid;
-      profiles_.insert_or_assign(plan.key, Entry{mapping, kInf});
+      profiles_.insert_or_assign(plan.key, Entry{plan.key, mapping, kInf});
       mean = kInf;
       status = "invalid";
     } else if (plan.execute) {
@@ -566,7 +568,7 @@ std::size_t Evaluator::evaluate_batch(
         ++stats_.oom;
         stats_.search_time_s += failure_observation_cost() + out.charge_s;
         stats_.evaluation_time_s += failure_observation_cost() + out.charge_s;
-        profiles_.insert_or_assign(plan.key, Entry{mapping, kInf});
+        profiles_.insert_or_assign(plan.key, Entry{plan.key, mapping, kInf});
         mean = kInf;
         status = "oom";
       } else if (out.failed) {
@@ -579,7 +581,7 @@ std::size_t Evaluator::evaluate_batch(
         stats_.search_time_s += out.charge_s;
         stats_.evaluation_time_s += out.charge_s;
         profiles_.insert_or_assign(
-            plan.key, Entry{mapping, kInf, /*censored=*/false,
+            plan.key, Entry{plan.key, mapping, kInf, /*censored=*/false,
                             /*quarantined=*/true});
         mean = kInf;
         status = "quarantined";
@@ -594,11 +596,11 @@ std::size_t Evaluator::evaluate_batch(
           ++stats_.censored;
           mean = threshold;
           profiles_.insert_or_assign(
-              plan.key, Entry{mapping, mean, /*censored=*/true});
+              plan.key, Entry{plan.key, mapping, mean, /*censored=*/true});
           status = "censored";
         } else {
           mean = aggregate_objective(out);
-          profiles_.insert_or_assign(plan.key, Entry{mapping, mean});
+          profiles_.insert_or_assign(plan.key, Entry{plan.key, mapping, mean});
           if (mean < best_seconds_) {
             best_seconds_ = mean;
             trajectory_.push_back({stats_.search_time_s, mean});
@@ -614,7 +616,7 @@ std::size_t Evaluator::evaluate_batch(
             }
           }
           // Maintain the top-k list for the finalist protocol.
-          if (mean < kInf) insert_top(mapping, mean);
+          if (mean < kInf) insert_top(plan.key, mapping, mean);
           status = "evaluated";
         }
       }
@@ -832,7 +834,9 @@ void Evaluator::restore_state(LineReader& reader) {
        i < n; ++i) {
     reader.next_line("finalist <mean>");
     const double mean = to_double_or_inf(reader[1], "mean");
-    top_.push_back(Entry{Mapping::read(reader, sim_.graph()), mean});
+    Mapping mapping = Mapping::read(reader, sim_.graph());
+    const std::uint64_t key = mapping.hash();
+    top_.push_back(Entry{key, std::move(mapping), mean});
   }
   // The profiles section is a verbatim database export; the top-k list and
   // incumbent were restored above, so the import must not rebuild them.
@@ -875,13 +879,9 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
   const int repeats = options_.final_repeats;
   const std::size_t runs_per = static_cast<std::size_t>(repeats);
   std::vector<Mapping> candidates;
-  std::vector<std::uint64_t> hashes;
   candidates.reserve(top_.size());
-  hashes.reserve(top_.size());
-  for (const Entry& entry : top_) {
+  for (const Entry& entry : top_)
     candidates.push_back(with_fallbacks(entry.mapping));
-    hashes.push_back(entry.mapping.hash());
-  }
 
   std::vector<RunOutcome> outcomes;
   const bool pre_executed =
@@ -894,7 +894,7 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
           const std::size_t e = i / runs_per;
           const int r = static_cast<int>(i % runs_per);
           outcomes[i] =
-              execute_run(candidates[e], hashes[e], r, scratches_[lane]);
+              execute_run(candidates[e], top_[e].key, r, scratches_[lane]);
         },
         options_.pool_priority, options_.pool_stream);
   }
@@ -910,7 +910,7 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
       const RunOutcome out =
           pre_executed
               ? outcomes[e * runs_per + static_cast<std::size_t>(r)]
-              : execute_run(candidates[e], hashes[e], r, scratches_[0]);
+              : execute_run(candidates[e], top_[e].key, r, scratches_[0]);
       // charge_s carries lost attempts, retry backoff and failure
       // observation costs (zero for a fault-free success), so the fold is
       // one accumulation for every outcome shape.
@@ -952,7 +952,7 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
     if (journal_) {
       journal_->event("finalist")
           .integer("rank", static_cast<long long>(e))
-          .str("hash", hex_u64(hashes[e]))
+          .str("hash", hex_u64(top_[e].key))
           .boolean("excluded", excluded)
           .integer("ok_runs", ok_runs)
           .num("mean", final_mean)

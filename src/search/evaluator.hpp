@@ -188,6 +188,8 @@ class Evaluator {
   friend class EvaluatorView;
 
   struct Entry {
+    /// mapping.hash(), the profiles-database key, computed once.
+    std::uint64_t key;
     Mapping mapping;
     double mean_seconds;
     /// True when mean_seconds is a censored observation: the candidate's
@@ -289,7 +291,7 @@ class Evaluator {
   [[nodiscard]] double failure_observation_cost() const;
   /// Inserts into the top-k finalist list unless an entry with the same
   /// structural hash and mapping is already present (dedupe on import).
-  void insert_top(const Mapping& mapping, double mean);
+  void insert_top(std::uint64_t key, const Mapping& mapping, double mean);
   /// Shared core of import_profiles and restore_state: parses a profiles
   /// section that runs to the end of the text. When `update_top` is false
   /// the top-k list and incumbent are left untouched (restore_state

@@ -26,8 +26,15 @@ double to_double_or_inf(std::string_view token, std::string_view field) {
               std::string(token) + "'");
 }
 
+namespace {
+/// Token separators. A character test, not std::string_view::find_first_of:
+/// that calls memchr over the separator set once per character scanned.
+bool is_blank(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
+}  // namespace
+
 bool LineReader::next() {
-  constexpr std::string_view kBlanks = " \t\r\v\f";
   tokens_.clear();
   while (tokens_.empty() && pos_ < text_.size()) {
     const std::size_t end = std::min(text_.find('\n', pos_), text_.size());
@@ -35,11 +42,14 @@ bool LineReader::next() {
     pos_ = end + 1;
     ++line_number_;
     line = line.substr(0, line.find('#'));
-    for (std::size_t i = line.find_first_not_of(kBlanks);
-         i != std::string_view::npos; i = line.find_first_not_of(kBlanks, i)) {
-      const std::size_t start = i;
-      i = std::min(line.find_first_of(kBlanks, i), line.size());
-      tokens_.push_back(line.substr(start, i - start));
+    const char* p = line.data();
+    const char* const stop = p + line.size();
+    while (true) {
+      while (p != stop && is_blank(*p)) ++p;
+      if (p == stop) break;
+      const char* const start = p;
+      while (p != stop && !is_blank(*p)) ++p;
+      tokens_.emplace_back(start, static_cast<std::size_t>(p - start));
     }
   }
   return !tokens_.empty();

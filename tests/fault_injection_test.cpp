@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -463,6 +464,41 @@ TEST(Checkpoint, ResumeRejectsAlgorithmMismatch) {
   wrong.resume_state = load_checksummed(path).payload;
   EXPECT_THROW((void)run_cd(sim, wrong), Error);
   std::remove(path.c_str());
+}
+
+TEST(Checkpoint, ResumeRejectsRepeatedKindsInAPriorityList) {
+  MiniApp app;
+  const MachineModel machine = make_shepard(1);
+  Simulator sim(machine, app.g, {.iterations = 2, .noise_sigma = 0.02});
+
+  const std::string path =
+      ::testing::TempDir() + "automap_ckpt_priority_list.txt";
+  SearchOptions options{.rotations = 2, .repeats = 2, .seed = 3};
+  options.checkpoint_path = path;
+  (void)run_ccd(sim, options);
+  std::string text = load_checksummed(path).payload;
+  std::remove(path.c_str());
+
+  // Extend the incumbent's last priority list on task 0 by a kind twice.
+  const std::size_t task = text.find("\ntask 0 ");
+  ASSERT_NE(task, std::string::npos);
+  text.insert(text.find('\n', task + 1), ",System,System");
+  const std::string line =
+      "line " +
+      std::to_string(std::count(text.begin(), text.begin() + task + 1, '\n') +
+                     1) +
+      ": memory priority list '";
+
+  SearchOptions resumed{.rotations = 2, .repeats = 2, .seed = 3};
+  resumed.resume_state = text;
+  try {
+    (void)run_ccd(sim, resumed);
+    ADD_FAILURE() << "checkpoint with a repeated kind accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind(line, 0), 0u) << what;
+    EXPECT_NE(what.find("' names System twice"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <string_view>
+#include <utility>
+
 #include "src/machine/machine.hpp"
 #include "src/support/error.hpp"
 
@@ -18,6 +23,53 @@ TEST(Kinds, RoundTripNames) {
   EXPECT_EQ(parse_mem_kind("fb"), MemKind::kFrameBuffer);
   EXPECT_THROW((void)parse_proc_kind("TPU"), Error);
   EXPECT_THROW((void)parse_mem_kind("HBM3"), Error);
+}
+
+/// `s` with letters alternating lower/upper case, starting lower.
+std::string alternate_case(std::string s) {
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    s[i] = static_cast<char>(i % 2 == 0 ? std::tolower(c) : std::toupper(c));
+  }
+  return s;
+}
+
+std::string lower(std::string s) {
+  for (char& c : s) c = static_cast<char>(std::tolower(
+                        static_cast<unsigned char>(c)));
+  return s;
+}
+
+TEST(Kinds, ParsesEveryAcceptedSpellingInAnyCase) {
+  const std::pair<std::string, MemKind> mems[] = {
+      {"SYSTEM", MemKind::kSystem},        {"SYSMEM", MemKind::kSystem},
+      {"ZEROCOPY", MemKind::kZeroCopy},    {"ZC", MemKind::kZeroCopy},
+      {"ZERO-COPY", MemKind::kZeroCopy},   {"FRAMEBUFFER", MemKind::kFrameBuffer},
+      {"FB", MemKind::kFrameBuffer},       {"FRAME-BUFFER", MemKind::kFrameBuffer}};
+  for (const auto& [name, kind] : mems) {
+    for (const std::string& spelling :
+         {name, lower(name), alternate_case(name),
+          std::string(to_string(kind))}) {
+      EXPECT_EQ(parse_mem_kind(spelling), kind) << spelling;
+    }
+  }
+  for (const ProcKind kind : kAllProcKinds) {
+    const std::string name(to_string(kind));
+    for (const std::string& spelling : {name, lower(name), alternate_case(name)})
+      EXPECT_EQ(parse_proc_kind(spelling), kind) << spelling;
+  }
+}
+
+TEST(Kinds, RejectsNearMisses) {
+  using namespace std::string_view_literals;
+  for (const std::string_view name :
+       {""sv, "Systems"sv, "Syste"sv, " FB"sv, "FB "sv, "F B"sv, "Zero_Copy"sv,
+        "ZeroCopy-"sv, "Frame--Buffer"sv, "FB,ZC"sv, "Z"sv, "ZCX"sv, "fb\t"sv,
+        "FrameBuf"sv, "FB\0"sv}) {
+    EXPECT_THROW((void)parse_mem_kind(name), Error) << name;
+  }
+  for (const std::string_view name : {"", "CP", "CPUS", "GPU0", " gpu", "G-PU"})
+    EXPECT_THROW((void)parse_proc_kind(name), Error) << name;
 }
 
 TEST(Machine, ShepardShape) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "src/machine/machine.hpp"
 #include "src/mapping/mapping.hpp"
 #include "src/support/error.hpp"
@@ -10,6 +12,37 @@
 
 namespace automap {
 namespace {
+
+// A priority list lives inside its TaskMapping's argument vector: copying
+// a mapping copies no per-argument heap block.
+static_assert(std::is_trivially_copyable_v<MemPriority>);
+
+TEST(MemPriority, HoldsDistinctKindsInline) {
+  MemPriority p{MemKind::kFrameBuffer, MemKind::kZeroCopy};
+  EXPECT_EQ(p.size(), 2u);
+  EXPECT_EQ(p.front(), MemKind::kFrameBuffer);
+  EXPECT_TRUE(p.contains(MemKind::kZeroCopy));
+  EXPECT_FALSE(p.contains(MemKind::kSystem));
+  EXPECT_THROW(p.push_back(MemKind::kZeroCopy), Error);  // a repeat
+  p.push_back(MemKind::kSystem);
+  EXPECT_EQ(p.size(), kNumMemKinds);
+
+  // set_front replaces the first choice and drops a later occurrence.
+  p.set_front(MemKind::kSystem);
+  EXPECT_EQ(p, (MemPriority{MemKind::kSystem, MemKind::kZeroCopy}));
+  p.set_front(MemKind::kFrameBuffer);
+  EXPECT_EQ(p, (MemPriority{MemKind::kFrameBuffer, MemKind::kZeroCopy}));
+  MemPriority empty;
+  empty.set_front(MemKind::kZeroCopy);
+  EXPECT_EQ(empty, MemPriority{MemKind::kZeroCopy});
+
+  // Equality compares the held kinds only, not the unused slots.
+  p.clear();
+  EXPECT_EQ(p, MemPriority{});
+  p.push_back(MemKind::kSystem);
+  EXPECT_EQ(p, MemPriority{MemKind::kSystem});
+  EXPECT_NE(p, (MemPriority{MemKind::kSystem, MemKind::kZeroCopy}));
+}
 
 class MappingFixture : public ::testing::Test {
  protected:
@@ -155,6 +188,38 @@ TEST_F(MappingFixture, PriorityListsSerialize) {
   const std::string text = m.serialize();
   EXPECT_NE(text.find("FrameBuffer,ZeroCopy"), std::string::npos);
   EXPECT_EQ(Mapping::parse(text, g), m);
+}
+
+TEST_F(MappingFixture, ParseRejectsRepeatedKindsInAPriorityList) {
+  // A kind may appear once per list, so no list is longer than
+  // kNumMemKinds; each violation is one error naming its line.
+  for (const std::string list :
+       {"System,System", "ZC,System,zerocopy",
+        "System,ZeroCopy,FrameBuffer,System"}) {
+    const std::string error = parse_error(
+        "task 0 dist GPU FrameBuffer FrameBuffer\ntask 1 dist CPU " + list +
+            "\n",
+        g);
+    EXPECT_EQ(error.rfind("line 2: memory priority list '" + list + "'", 0),
+              0u)
+        << error;
+    EXPECT_EQ(error.find('\n'), std::string::npos) << error;
+  }
+  // Every kind once is the longest legal list.
+  const Mapping m = Mapping::parse(
+      "task 0 dist GPU FrameBuffer FrameBuffer\n"
+      "task 1 dist CPU System,ZeroCopy,FrameBuffer\n",
+      g);
+  EXPECT_EQ(m.at(t1).arg_memories[0].size(), kNumMemKinds);
+}
+
+TEST_F(MappingFixture, SetPrimaryMemoryKeepsKindsDistinct) {
+  Mapping m(g);
+  m.at(t0).arg_memories[0] = {MemKind::kFrameBuffer, MemKind::kZeroCopy};
+  m.set_primary_memory(t0, 0, MemKind::kZeroCopy);
+  EXPECT_EQ(m.at(t0).arg_memories[0], MemPriority{MemKind::kZeroCopy});
+  // The result still reads back from its own text.
+  EXPECT_EQ(Mapping::parse(m.serialize(), g), m);
 }
 
 TEST_F(MappingFixture, DiffNamesChangedDecisions) {

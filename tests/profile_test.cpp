@@ -11,6 +11,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/machine/machine.hpp"
@@ -465,6 +466,46 @@ TEST(ProfilesImport, MalformedMeanRaisesErrorNotStdException) {
   EXPECT_THROW(eval.import_profiles("profiles 1\nentry 1.5 trailing\n"),
                Error);
   EXPECT_THROW(eval.import_profiles("profiles 1\nentry \n"), Error);
+}
+
+TEST(ProfilesImport, RejectsRepeatedKindsInAPriorityList) {
+  ChainApp app;
+  const MachineModel machine = make_shepard(1);
+  Simulator sim(machine, app.g, {.iterations = 1, .noise_sigma = 0.0});
+  Evaluator source(sim, {.repeats = 1, .seed = 1});
+  (void)source.evaluate(Mapping(app.g));
+  const std::string db = source.view().export_profiles();
+  const std::string state = source.serialize_state();
+  ASSERT_NE(db.find("task 1 dist GPU FrameBuffer\n"), std::string::npos);
+
+  // The text with task 1's list replaced by `list`, and the prefix an
+  // error on that line carries.
+  const auto mutate = [](std::string text, const std::string& list) {
+    const std::string line = "task 1 dist GPU FrameBuffer\n";
+    const std::size_t at = text.find(line);
+    text.replace(at, line.size(), "task 1 dist GPU " + list + "\n");
+    const auto n = std::count(text.begin(), text.begin() + at, '\n') + 1;
+    return std::make_pair(text, "line " + std::to_string(n) + ": ");
+  };
+  for (const std::string list :
+       {"FrameBuffer,FB", "FrameBuffer,ZeroCopy,System,ZeroCopy"}) {
+    for (const bool restore : {false, true}) {
+      const auto [text, prefix] = mutate(restore ? state : db, list);
+      Evaluator eval(sim, {.repeats = 1, .seed = 1});
+      try {
+        if (restore) {
+          eval.restore_state(text);
+        } else {
+          eval.import_profiles(text);
+        }
+        ADD_FAILURE() << list << " accepted";
+      } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.rfind(prefix + "memory priority list '" + list, 0), 0u)
+            << what;
+      }
+    }
+  }
 }
 
 TEST(ProfilesImport, DuplicateImportDoesNotStackFinalists) {

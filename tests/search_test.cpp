@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "src/apps/circuit.hpp"
+#include "src/apps/registry.hpp"
 #include "src/apps/stencil.hpp"
 #include "src/machine/machine.hpp"
 #include "src/runtime/mapper.hpp"
@@ -145,6 +146,41 @@ TEST(Evaluator, FallbacksExtendPriorityLists) {
             MemKind::kFrameBuffer);
   EXPECT_EQ(extended.at(app.producer).arg_memories[0][1],
             MemKind::kZeroCopy);
+}
+
+TEST(Evaluator, FallbacksBuildDistinctListsForEveryApp) {
+  const MachineModel machine = make_shepard(2);
+  for (const std::string& name : app_names()) {
+    const BenchmarkApp app = make_app_by_name(name, 2, 0);
+    Simulator sim(machine, app.graph, {.iterations = 1});
+    const Evaluator eval(sim, {.repeats = 1, .memory_fallbacks = true});
+    Mapping cpu = search_starting_point(app.graph, machine);
+    for (const GroupTask& task : app.graph.tasks()) {
+      cpu.at(task.id).proc = ProcKind::kCpu;
+      for (std::size_t a = 0; a < task.args.size(); ++a) {
+        cpu.at(task.id).arg_memories[a] =
+            a % 2 == 0 ? MemPriority{MemKind::kZeroCopy, MemKind::kSystem}
+                       : MemPriority{MemKind::kSystem};
+      }
+    }
+    for (const Mapping& m : {search_starting_point(app.graph, machine), cpu}) {
+      const Mapping extended = eval.with_fallbacks(m);
+      for (const GroupTask& task : app.graph.tasks()) {
+        const TaskMapping& tm = extended.at(task.id);
+        for (std::size_t a = 0; a < task.args.size(); ++a) {
+          const MemPriority& list = tm.arg_memories[a];
+          EXPECT_EQ(list.front(), m.primary_memory(task.id, a)) << name;
+          EXPECT_EQ(list.size(),
+                    machine.memories_addressable_by(tm.proc).size())
+              << name;
+          for (std::size_t i = 0; i < list.size(); ++i)
+            for (std::size_t j = 0; j < i; ++j)
+              EXPECT_NE(list[i], list[j]) << name << " " << task.name;
+        }
+      }
+      EXPECT_EQ(Mapping::parse(extended.serialize(), app.graph), extended);
+    }
+  }
 }
 
 TEST(OverlapMap, ConnectsOverlappingAndSharedCollections) {

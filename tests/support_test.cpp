@@ -1,15 +1,20 @@
-// Unit tests for src/support: rng, stats, format, table, ids.
+// Unit tests for src/support: rng, stats, format, table, ids, line reader,
+// small vectors.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/support/error.hpp"
 #include "src/support/format.hpp"
 #include "src/support/id.hpp"
+#include "src/support/line_reader.hpp"
 #include "src/support/rng.hpp"
+#include "src/support/small_vector.hpp"
 #include "src/support/stats.hpp"
 #include "src/support/table.hpp"
 
@@ -207,6 +212,133 @@ TEST(Id, HashIsUsable) {
 TEST(Mix64, IsDeterministicAndSpreads) {
   EXPECT_EQ(mix64(1), mix64(1));
   EXPECT_NE(mix64(1), mix64(2));
+}
+
+/// The tokens of the reader's current line, joined by '|'.
+std::string joined(const LineReader& r) {
+  std::string out;
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    if (i > 0) out += '|';
+    out += r[i];
+  }
+  return out;
+}
+
+TEST(LineReader, SplitsOnEveryBlankCharacter) {
+  LineReader r(
+      "a\tb  c\r\n"           // tab and a CRLF line end
+      "\vd\fe \t\n"          // vertical tab, form feed
+      "# only a comment\n"
+      "  \t\r\n"              // blank after trimming
+      "f#glued\n"             // '#' glued to a token ends it
+      "g\t#x y\n"
+      "#\n"
+      "h");                   // last line without a newline
+  ASSERT_TRUE(r.next());
+  EXPECT_EQ(joined(r), "a|b|c");
+  EXPECT_EQ(r.line_number(), 1);
+  ASSERT_TRUE(r.next());
+  EXPECT_EQ(joined(r), "d|e");
+  EXPECT_EQ(r.line_number(), 2);
+  ASSERT_TRUE(r.next());
+  EXPECT_EQ(joined(r), "f");
+  EXPECT_EQ(r.line_number(), 5);
+  ASSERT_TRUE(r.next());
+  EXPECT_EQ(joined(r), "g");
+  ASSERT_TRUE(r.next());
+  EXPECT_EQ(joined(r), "h");
+  EXPECT_EQ(r.line_number(), 8);
+  EXPECT_FALSE(r.next());
+  EXPECT_EQ(r.size(), 0u);
+}
+
+TEST(LineReader, KeepsNonBlankBytesInsideTokens) {
+  // Only space, \t, \r, \v and \f separate; other control and high
+  // bytes belong to the token.
+  LineReader r(std::string_view("x\001y \xe9z,w\0v", 10));
+  ASSERT_TRUE(r.next());
+  ASSERT_EQ(r.size(), 2u);
+  EXPECT_EQ(r[0], "x\001y");
+  EXPECT_EQ(r[1], std::string_view("\xe9z,w\0v", 6));
+  EXPECT_FALSE(LineReader("").next());
+  EXPECT_FALSE(LineReader("\n\r\n \n#\n").next());
+}
+
+using Small = SmallVector<int, 3>;
+
+std::vector<int> items(const Small& v) { return {v.begin(), v.end()}; }
+
+TEST(SmallVector, GrowsPastItsInlineCapacity) {
+  Small v;
+  EXPECT_TRUE(v.empty());
+  for (int i = 0; i < 10; ++i) {
+    v.push_back(i);
+    ASSERT_EQ(v.size(), static_cast<std::size_t>(i + 1));
+  }
+  EXPECT_EQ(items(v), (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  v[4] = 40;
+  EXPECT_EQ(v[4], 40);
+  v.clear();
+  EXPECT_TRUE(v.empty());
+  v.assign(2, 7);
+  EXPECT_EQ(items(v), (std::vector<int>{7, 7}));
+  v.assign(5, 8);
+  EXPECT_EQ(items(v), (std::vector<int>(5, 8)));
+}
+
+TEST(SmallVector, PushingItsOwnElementWhileGrowing) {
+  for (const int n : {3, 4}) {  // full inline, full heap block
+    Small v;
+    for (int i = 0; i < n; ++i) v.push_back(i + 1);
+    v.push_back(v[0]);
+    EXPECT_EQ(v.size(), static_cast<std::size_t>(n + 1));
+    EXPECT_EQ(v[static_cast<std::size_t>(n)], 1);
+    v.assign(9, v[1]);
+    EXPECT_EQ(items(v), (std::vector<int>(9, 2)));
+  }
+}
+
+TEST(SmallVector, CopiesAndMovesInlineAndHeapContents) {
+  for (const std::size_t n : {0u, 2u, 3u, 4u, 9u}) {
+    Small v;
+    for (std::size_t i = 0; i < n; ++i) v.push_back(static_cast<int>(i * i));
+    const std::vector<int> want = items(v);
+
+    Small copy = v;
+    EXPECT_EQ(copy, v);
+    if (n > 0) {
+      copy[0] = -1;
+      EXPECT_NE(copy, v);  // independent storage
+    }
+    Small assigned{5, 6, 7, 8};
+    assigned = v;
+    EXPECT_EQ(items(assigned), want);
+    const Small& self = assigned;
+    assigned = self;
+    EXPECT_EQ(items(assigned), want);
+
+    Small moved = std::move(copy);
+    copy = Small{1};  // a moved-from vector is reusable
+    EXPECT_EQ(items(copy), (std::vector<int>{1}));
+    Small target{1, 2, 3, 4, 5};
+    target = std::move(v);
+    EXPECT_EQ(items(target), want);
+    EXPECT_TRUE(v.empty());
+    (void)moved;
+  }
+}
+
+TEST(SmallVector, EqualityComparesElementsOnly) {
+  Small a{1, 2, 3, 4};  // on the heap
+  Small b{1, 2};        // inline
+  EXPECT_NE(a, b);
+  b.push_back(3);
+  b.push_back(4);
+  EXPECT_EQ(a, b);
+  a.clear();
+  b.clear();
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, Small{});
 }
 
 }  // namespace
