@@ -107,16 +107,14 @@ bool MachineModel::has_mem_kind(MemKind k) const {
                      [&](const MemGroup& g) { return g.kind == k; });
 }
 
-std::vector<ProcKind> MachineModel::proc_kinds() const {
-  std::vector<ProcKind> out;
-  out.reserve(proc_groups_.size());
+SmallVector<ProcKind, kNumProcKinds> MachineModel::proc_kinds() const {
+  SmallVector<ProcKind, kNumProcKinds> out;
   for (const auto& g : proc_groups_) out.push_back(g.kind);
   return out;
 }
 
-std::vector<MemKind> MachineModel::mem_kinds() const {
-  std::vector<MemKind> out;
-  out.reserve(mem_groups_.size());
+SmallVector<MemKind, kNumMemKinds> MachineModel::mem_kinds() const {
+  SmallVector<MemKind, kNumMemKinds> out;
   for (const auto& g : mem_groups_) out.push_back(g.kind);
   return out;
 }
@@ -125,8 +123,9 @@ bool MachineModel::addressable(ProcKind p, MemKind m) const {
   return affinities_[index_of(p)][index_of(m)].has_value();
 }
 
-std::vector<MemKind> MachineModel::memories_addressable_by(ProcKind p) const {
-  std::vector<MemKind> out;
+SmallVector<MemKind, kNumMemKinds> MachineModel::memories_addressable_by(
+    ProcKind p) const {
+  SmallVector<MemKind, kNumMemKinds> out;
   for (const auto& g : mem_groups_)
     if (addressable(p, g.kind)) out.push_back(g.kind);
   return out;

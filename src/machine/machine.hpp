@@ -16,6 +16,7 @@
 
 #include "src/machine/kinds.hpp"
 #include "src/support/error.hpp"
+#include "src/support/small_vector.hpp"
 
 namespace automap {
 
@@ -110,13 +111,16 @@ class MachineModel {
 
   [[nodiscard]] bool has_proc_kind(ProcKind k) const;
   [[nodiscard]] bool has_mem_kind(MemKind k) const;
-  [[nodiscard]] std::vector<ProcKind> proc_kinds() const;
-  [[nodiscard]] std::vector<MemKind> mem_kinds() const;
+  /// Kinds in declaration order, held inline (a machine has one group per
+  /// kind), so the search's per-task queries allocate nothing.
+  [[nodiscard]] SmallVector<ProcKind, kNumProcKinds> proc_kinds() const;
+  [[nodiscard]] SmallVector<MemKind, kNumMemKinds> mem_kinds() const;
 
   /// True when a processor of kind p can directly address memory kind m.
   [[nodiscard]] bool addressable(ProcKind p, MemKind m) const;
   /// Memory kinds addressable by processor kind p, in declaration order.
-  [[nodiscard]] std::vector<MemKind> memories_addressable_by(ProcKind p) const;
+  [[nodiscard]] SmallVector<MemKind, kNumMemKinds> memories_addressable_by(
+      ProcKind p) const;
   /// The addressable memory kind with the highest access bandwidth from p —
   /// the "closest" memory the default mapper heuristic picks.
   [[nodiscard]] MemKind best_memory_for(ProcKind p) const;

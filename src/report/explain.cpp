@@ -44,15 +44,14 @@ std::vector<JsonValue> parse_journal(const std::string& text) {
   AM_REQUIRE(!events.empty(), "journal is empty");
   AM_REQUIRE(events.front().str_or("type", "") == "journal",
              "journal does not start with a header record");
-  const int version =
-      static_cast<int>(events.front().num_or("version", -1));
+  const int version = json_int_or(events.front(), "version", -1);
   AM_REQUIRE(version >= 1 && version <= kJournalVersion,
              "unsupported journal schema version " +
                  std::to_string(version) + " (this build reads <= " +
                  std::to_string(kJournalVersion) + ")");
   long long prev = -1;
   for (const JsonValue& ev : events) {
-    const long long n = static_cast<long long>(ev.num_or("n", -1));
+    const long long n = json_int_or(ev, "n", -1LL);
     AM_REQUIRE(n == prev + 1, "journal sequence broken at event n=" +
                                   std::to_string(n) + " (expected " +
                                   std::to_string(prev + 1) + ")");
@@ -111,9 +110,9 @@ Segment make_segment(const TaskGraph& graph, const JsonValue& sb) {
 /// records provenance for every decision the move changed. Verifies the
 /// recorded post-move hash against the replayed mapping.
 void apply_move(Segment& seg, const JsonValue& ev, const TaskGraph& graph) {
-  const long long n = static_cast<long long>(ev.num_or("n", -1));
-  const int rotation = static_cast<int>(ev.num_or("rot", -1));
-  const long long t = static_cast<long long>(ev.num_or("task", -1));
+  const long long n = json_int_or(ev, "n", -1LL);
+  const int rotation = json_int_or(ev, "rot", -1);
+  const long long t = json_int_or(ev, "task", -1LL);
   AM_REQUIRE(t >= 0 && static_cast<std::size_t>(t) < graph.num_tasks(),
              "move event n=" + std::to_string(n) +
                  " has no valid task cursor");
@@ -132,7 +131,7 @@ void apply_move(Segment& seg, const JsonValue& ev, const TaskGraph& graph) {
     tm.blocked = ev.bool_or("blocked", tm.blocked);
     seg.dist_prov[task.index()] = primary;
   } else if (kind == "placement") {
-    const long long arg = static_cast<long long>(ev.num_or("arg", -1));
+    const long long arg = json_int_or(ev, "arg", -1LL);
     AM_REQUIRE(arg >= 0, "placement move n=" + std::to_string(n) +
                              " has no arg field");
     const ProcKind proc = parse_proc_kind(ev.str_or("proc", ""));
@@ -149,7 +148,7 @@ void apply_move(Segment& seg, const JsonValue& ev, const TaskGraph& graph) {
     }
     if (const JsonValue* forced = ev.find("forced")) {
       for (const JsonValue& f : forced->array) {
-        const auto ft = static_cast<std::size_t>(f.num_or("task", 0));
+        const auto ft = json_int_or<std::size_t>(f, "task", 0);
         AM_REQUIRE(ft < graph.num_tasks(),
                    "forced move task out of range at n=" +
                        std::to_string(n));
@@ -163,7 +162,7 @@ void apply_move(Segment& seg, const JsonValue& ev, const TaskGraph& graph) {
               parse_proc_kind(f.str_or("proc", ""));
           seg.proc_prov[ft] = prov;
         } else {
-          const auto fa = static_cast<std::size_t>(f.num_or("arg", 0));
+          const auto fa = json_int_or<std::size_t>(f, "arg", 0);
           AM_REQUIRE(fa < seg.mem_prov[ft].size(),
                      "forced move arg out of range at n=" +
                          std::to_string(n));
@@ -392,11 +391,11 @@ ReplayOutcome replay_journal(const MachineModel& machine,
     sim_options = sim_options_from_json(*sim_obj);
   } else {
     options.seed = to_int<std::uint64_t>(sb->str_or("seed", "0"), "seed");
-    options.rotations = static_cast<int>(sb->num_or("rotations", 5));
-    options.repeats = static_cast<int>(sb->num_or("repeats", 7));
+    options.rotations = json_int_or(*sb, "rotations", 5);
+    options.repeats = json_int_or(*sb, "repeats", 7);
     options.time_budget_s = sb->wide_num_or("budget", kInf);
-    options.top_k = static_cast<int>(sb->num_or("top_k", 5));
-    options.final_repeats = static_cast<int>(sb->num_or("final_repeats", 31));
+    options.top_k = json_int_or(*sb, "top_k", 5);
+    options.final_repeats = json_int_or(*sb, "final_repeats", 31);
     options.prune_candidates = sb->bool_or("prune", true);
     options.memory_fallbacks = sb->bool_or("fallbacks", false);
     options.search_distribution_strategies =
@@ -404,10 +403,9 @@ ReplayOutcome replay_journal(const MachineModel& machine,
     options.objective = sb->str_or("objective", "time") == "energy"
                             ? Objective::kEnergy
                             : Objective::kExecutionTime;
-    options.resilience.max_retries =
-        static_cast<int>(sb->num_or("max_retries", 2));
+    options.resilience.max_retries = json_int_or(*sb, "max_retries", 2);
     options.resilience.quarantine_after =
-        static_cast<int>(sb->num_or("quarantine_after", 3));
+        json_int_or(*sb, "quarantine_after", 3);
     options.resilience.retry_backoff_s = sb->num_or("retry_backoff_s", -1.0);
     const std::string aggregation = sb->str_or("aggregation", "mean");
     options.resilience.aggregation =
@@ -417,10 +415,9 @@ ReplayOutcome replay_journal(const MachineModel& machine,
     if (const JsonValue* frozen = sb->find("frozen"))
       for (const JsonValue& f : frozen->array)
         options.frozen_tasks.push_back(
-            TaskId(static_cast<std::size_t>(f.number)));
+            TaskId(json_to_int<std::uint32_t>(f, "frozen")));
 
-    sim_options.iterations =
-        static_cast<int>(sb->num_or("sim_iterations", 10));
+    sim_options.iterations = json_int_or(*sb, "sim_iterations", 10);
     sim_options.noise_sigma = sb->num_or("noise_sigma", 0.05);
     sim_options.faults.crash_prob = sb->num_or("fault_crash", 0.0);
     sim_options.faults.straggler_prob = sb->num_or("fault_straggler", 0.0);

@@ -684,6 +684,25 @@ SearchResult run_coordinate_descent(const Simulator& sim,
     for (int i = 0; i < start_rotation; ++i) drop_edges(/*quiet=*/true);
   }
 
+  // Writes the checkpoint that resumes at (rotation, position) unless the
+  // budget is exhausted, and reports it to the journal, the metrics and
+  // the on_checkpoint hook.
+  const auto checkpoint = [&](int rotation, std::size_t position,
+                              double best_before,
+                              const std::vector<TaskId>& order) {
+    if (options.checkpoint_path.empty() || eval.budget_exhausted()) return;
+    write_checkpoint(options.checkpoint_path, algorithm, rotation, position,
+                     best_before, p, order, f, eval);
+    if (ins.checkpoints != nullptr) ins.checkpoints->inc();
+    if (ins.journal != nullptr) {
+      ins.journal->event("checkpoint")
+          .integer("at_rotation", rotation)
+          .integer("at_position", static_cast<long long>(position));
+    }
+    if (options.on_checkpoint)
+      options.on_checkpoint(rotation, static_cast<int>(position));
+  };
+
   for (int rotation = start_rotation; rotation < rotations; ++rotation) {
     if (eval.budget_exhausted()) break;
     const bool mid_resume =
@@ -732,18 +751,7 @@ SearchResult run_coordinate_descent(const Simulator& sim,
       // onto the same trajectory. A budget-cut optimize_task folds only a
       // prefix of its batch — a state no uninterrupted run visits — so the
       // write is skipped once the budget is exhausted.
-      if (!options.checkpoint_path.empty() && !eval.budget_exhausted()) {
-        write_checkpoint(options.checkpoint_path, algorithm, rotation,
-                         pos + 1, best_before, p, order, f, eval);
-        if (ins.checkpoints != nullptr) ins.checkpoints->inc();
-        if (ins.journal != nullptr) {
-          ins.journal->event("checkpoint")
-              .integer("at_rotation", rotation)
-              .integer("at_position", static_cast<long long>(pos + 1));
-        }
-        if (options.on_checkpoint)
-          options.on_checkpoint(rotation, static_cast<int>(pos + 1));
-      }
+      checkpoint(rotation, pos + 1, best_before, order);
     }
     if (ins.journal != nullptr) ins.journal->clear_coordinate();
     eval.note_rotation(rotation, best_before);
@@ -756,17 +764,7 @@ SearchResult run_coordinate_descent(const Simulator& sim,
     // incomplete rotation, which an uninterrupted (larger-budget) run never
     // passes through. The last task-boundary checkpoint stays on disk and
     // resumes onto the true trajectory instead.
-    if (!options.checkpoint_path.empty() && !eval.budget_exhausted()) {
-      write_checkpoint(options.checkpoint_path, algorithm, rotation + 1, 0,
-                       best_before, p, order, f, eval);
-      if (ins.checkpoints != nullptr) ins.checkpoints->inc();
-      if (ins.journal != nullptr) {
-        ins.journal->event("checkpoint")
-            .integer("at_rotation", rotation + 1)
-            .integer("at_position", 0);
-      }
-      if (options.on_checkpoint) options.on_checkpoint(rotation + 1, 0);
-    }
+    checkpoint(rotation + 1, 0, best_before, order);
 
     // Graceful-degradation circuit breaker (fault injection only): when
     // every candidate executed this rotation failed (OOM or quarantined),

@@ -23,6 +23,19 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // reruns of the same mapping must see independent noise streams.
 constexpr std::uint64_t kEvalSalt = 0x5bf03635f0a5a1edULL;
 constexpr std::uint64_t kFinalSalt = 0xa0761d6478bd642fULL;
+// Help text of the candidate metric automap_candidates_<name>_total for
+// each kSearchCounters entry; null where the counter is no candidate metric.
+constexpr const char* kCandidateMetricHelp[] = {
+    "Candidate mappings proposed",
+    "Candidate mappings executed",
+    "Candidates rejected as invalid",
+    "Candidates that ran out of memory",
+    "Candidates censored at the batch threshold",
+    "Candidates answered from the profiles database",
+    nullptr,
+    nullptr,
+    "Candidates quarantined by the resilience policy"};
+static_assert(std::size(kCandidateMetricHelp) == std::size(kSearchCounters));
 }  // namespace
 
 Evaluator::Evaluator(const Simulator& sim, const SearchOptions& options)
@@ -64,23 +77,14 @@ Evaluator::Evaluator(const Simulator& sim, const SearchOptions& options)
   journal_ = options_.journal;
   metrics_ = options_.metrics;
   if (metrics_) {
-    m_suggested_ = metrics_->counter("automap_candidates_suggested_total",
-                                     "Candidate mappings proposed");
-    m_evaluated_ = metrics_->counter("automap_candidates_evaluated_total",
-                                     "Candidate mappings executed");
-    m_invalid_ = metrics_->counter("automap_candidates_invalid_total",
-                                   "Candidates rejected as invalid");
-    m_oom_ = metrics_->counter("automap_candidates_oom_total",
-                               "Candidates that ran out of memory");
-    m_censored_ =
-        metrics_->counter("automap_candidates_censored_total",
-                          "Candidates censored at the batch threshold");
-    m_cache_hits_ = metrics_->counter(
-        "automap_candidates_cache_hits_total",
-        "Candidates answered from the profiles database");
-    m_quarantined_ =
-        metrics_->counter("automap_candidates_quarantined_total",
-                          "Candidates quarantined by the resilience policy");
+    // Registered in kSearchCounters order, which fixes the key order of the
+    // journal's metrics snapshots.
+    for (std::size_t i = 0; i < std::size(kSearchCounters); ++i)
+      if (kCandidateMetricHelp[i] != nullptr)
+        m_counters_[i] = metrics_->counter(
+            std::string("automap_candidates_") + kSearchCounters[i].name +
+                "_total",
+            kCandidateMetricHelp[i]);
     m_search_clock_ = metrics_->gauge("automap_search_clock_seconds",
                                       "Simulated search clock");
     m_best_seconds_ = metrics_->gauge("automap_best_seconds",
@@ -120,68 +124,50 @@ double Evaluator::retry_backoff(int attempt) const {
   return quantum * static_cast<double>(1ULL << std::min(attempt, 62));
 }
 
-double Evaluator::aggregate_objective(const CandOutcome& out) const {
-  AM_CHECK(out.survivors > 0, "aggregating a candidate with no survivors");
-  const double n = static_cast<double>(out.survivors);
+double Evaluator::aggregate_objective(double sum, int survivors,
+                                     std::vector<double> values) const {
+  AM_CHECK(survivors > 0, "aggregating a candidate with no survivors");
+  const double n = static_cast<double>(survivors);
   switch (options_.resilience.aggregation) {
     case Aggregation::kMean:
-      return out.objective_sum / n;
+      return sum / n;
     case Aggregation::kMedian: {
-      std::vector<double> v = out.objectives;
-      std::sort(v.begin(), v.end());
-      const std::size_t m = v.size() / 2;
-      return v.size() % 2 == 1 ? v[m] : 0.5 * (v[m - 1] + v[m]);
+      std::sort(values.begin(), values.end());
+      const std::size_t m = values.size() / 2;
+      return values.size() % 2 == 1 ? values[m]
+                                    : 0.5 * (values[m - 1] + values[m]);
     }
     case Aggregation::kTrimmedMean: {
       // Drop the single min and max; degenerates to the mean below three
       // survivors (nothing left to trim).
-      if (out.survivors < 3) return out.objective_sum / n;
-      const auto [lo, hi] =
-          std::minmax_element(out.objectives.begin(), out.objectives.end());
-      return (out.objective_sum - *lo - *hi) / (n - 2.0);
+      if (survivors < 3) return sum / n;
+      const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+      return (sum - *lo - *hi) / (n - 2.0);
     }
   }
   AM_CHECK(false, "unknown aggregation");
   return kInf;
 }
 
-Evaluator::RunOutcome Evaluator::execute_run(const Mapping& candidate,
-                                             std::uint64_t hash, int repeat,
-                                             SimScratch& scratch) const {
-  // Finalist reruns are never bounded: the protocol's whole point is an
-  // exact mean over the top-k, and top-k entries are never censored.
-  // Transient faults retry under the same policy as search-time evaluation;
-  // all clock costs beyond a successful run's own time ride in charge_s so
-  // the fold stays a pure accumulation.
-  RunOutcome out;
+const ExecutionReport* Evaluator::run_repeat(const Mapping& candidate,
+                                             std::uint64_t key, int repeat,
+                                             std::uint64_t salt,
+                                             double bound_s,
+                                             SimScratch& scratch,
+                                             Charge& charge) const {
   for (int attempt = 0;; ++attempt) {
-    const ExecutionReport& report = sim_.run(
-        candidate, run_seed(hash, repeat, attempt, kFinalSalt), scratch,
-        kInf);
-    if (report.ok) {
-      out.ok = true;
-      out.objective = options_.objective == Objective::kEnergy
-                          ? report.energy_joules
-                          : report.total_seconds;
-      out.total_seconds = report.total_seconds;
-      return out;
-    }
-    if (!report.transient) {
-      // Deterministic failure (OOM): one observation cost, same as the
-      // search loop charges.
-      out.charge_s += failure_observation_cost();
-      return out;
-    }
-    // Injected transient fault: the clock paid for the partial run and the
-    // abort observation.
-    ++out.transient_failures;
-    out.charge_s += report.total_seconds + failure_observation_cost();
-    if (attempt >= options_.resilience.max_retries) {
-      out.transient = true;  // repeat lost, retry budget exhausted
-      return out;
-    }
-    ++out.retries;
-    out.charge_s += retry_backoff(attempt);
+    const ExecutionReport& report = sim_.run_prepared(
+        candidate, run_seed(key, repeat, attempt, salt), scratch, bound_s);
+    if (report.ok) return &report;
+    // Deterministic failures (OOM) surface in begin_runs; a prepared run
+    // fails only by an injected transient fault. The clock paid for the
+    // partial run and the abort observation.
+    AM_CHECK(report.transient, "a prepared run failed deterministically");
+    ++charge.transient_failures;
+    charge.seconds += report.total_seconds + failure_observation_cost();
+    if (attempt >= options_.resilience.max_retries) return nullptr;
+    ++charge.retries;
+    charge.seconds += retry_backoff(attempt);
   }
 }
 
@@ -215,9 +201,11 @@ Evaluator::CandOutcome Evaluator::run_candidate(const Mapping& candidate,
   // One validation + memory resolution serves every repeat: placement is
   // noise-independent, so begin_runs hoists it out of the repeat loop. A
   // failure here is an OOM (constraint-1 validity was already checked at
-  // plan time).
+  // plan time). An OOM surfaces before the event loop, so censoring never
+  // masks it; it still costs the machine-derived observation cost.
   if (!sim_.begin_runs(candidate, scratch)) {
-    out.oom = true;
+    out.verdict = Verdict::kOom;
+    out.charge.seconds = failure_observation_cost();
     return out;
   }
   const ResiliencePolicy& policy = options_.resilience;
@@ -240,65 +228,70 @@ Evaluator::CandOutcome Evaluator::run_candidate(const Mapping& candidate,
                    repeats_d * race_threshold_s);
       allowance = line - sum;  // >= 0: the schedule is nondecreasing
     }
-    bool repeat_lost = false;
-    for (int attempt = 0;; ++attempt) {
-      // Under fault injection every run executes unbounded: a bounded
-      // abort at the censor line would mask a crash draw the fault stream
-      // scheduled past it, making prune on/off observably different. The
-      // censor verdict is still computed from the totals below.
-      const ExecutionReport& report = sim_.run_prepared(
-          candidate, run_seed(key, r, attempt, kEvalSalt), scratch,
-          (bound_runs && !inject) ? allowance : kInf);
-      if (report.ok) {
-        if (report.censored || report.total_seconds > allowance) {
-          // Censor verdict: charge what the line allowed and stop. Every
-          // remaining repeat would see a zero allowance and contribute
-          // nothing, so the historical post-censor loop folds away.
-          out.charge_s += allowance;
-          out.censored = true;
-          return out;
-        }
-        const double objective = options_.objective == Objective::kEnergy
-                                     ? report.energy_joules
-                                     : report.total_seconds;
-        out.objective_sum += objective;
-        out.charge_s += report.total_seconds;
-        sum += report.total_seconds;
-        ++out.survivors;
-        if (robust) out.objectives.push_back(objective);
-        break;
-      }
-      if (!report.transient) {
-        out.oom = true;
-        return out;
-      }
-      // Injected transient fault: the clock paid for the partial run and
-      // the abort observation.
-      ++out.transient_failures;
-      out.charge_s += report.total_seconds + failure_observation_cost();
-      if (attempt >= policy.max_retries) {
-        repeat_lost = true;  // retry budget exhausted
-        break;
-      }
-      ++out.retries;
-      out.charge_s += retry_backoff(attempt);
-    }
-    if (repeat_lost) {
+    // Under fault injection every run executes unbounded: a bounded abort
+    // at the censor line would mask a crash draw the fault stream
+    // scheduled past it, making prune on/off observably different. The
+    // censor verdict is still computed from the totals below.
+    const ExecutionReport* report =
+        run_repeat(candidate, key, r, kEvalSalt,
+                   (bound_runs && !inject) ? allowance : kInf, scratch,
+                   out.charge);
+    if (report == nullptr) {
       ++consecutive_lost;
       if (policy.quarantine_after > 0 &&
           consecutive_lost >= policy.quarantine_after) {
         // Quarantine: the candidate keeps failing under its whole retry
         // budget; stop wasting repeats and cache it as failed.
-        out.failed = true;
-        out.quarantined = true;
+        out.verdict = Verdict::kQuarantined;
         return out;
       }
-    } else {
-      consecutive_lost = 0;
+      continue;
     }
+    consecutive_lost = 0;
+    if (report->censored || report->total_seconds > allowance) {
+      // Censor verdict: charge what the line allowed and stop. Every
+      // remaining repeat would see a zero allowance and contribute
+      // nothing, so the historical post-censor loop folds away.
+      out.charge.seconds += allowance;
+      out.verdict = Verdict::kCensored;
+      return out;
+    }
+    const double objective = options_.objective == Objective::kEnergy
+                                 ? report->energy_joules
+                                 : report->total_seconds;
+    out.objective_sum += objective;
+    out.charge.seconds += report->total_seconds;
+    sum += report->total_seconds;
+    ++out.survivors;
+    if (robust) out.objectives.push_back(objective);
   }
-  if (out.survivors == 0) out.failed = true;
+  // Every repeat lost: cache the candidate as quarantined whether or not
+  // the consecutive-loss cutoff fired. Fault draws come from a derived
+  // stream, so re-executing under the same policy would lose the same way.
+  if (out.survivors == 0) out.verdict = Verdict::kQuarantined;
   return out;
+}
+
+template <typename Out, typename Run>
+std::vector<Out> Evaluator::pre_execute(std::size_t n, const Run& run) {
+  std::vector<Out> out;
+  if (pool_ == nullptr || n <= 1) return out;
+  out.resize(n);
+  pool_->parallel_for(
+      n,
+      [&](std::size_t lane, std::size_t i) {
+        out[i] = run(i, scratches_[lane]);
+      },
+      options_.pool_priority, options_.pool_stream);
+  return out;
+}
+
+void Evaluator::add_charge(const Charge& charge) {
+  stats_.search_time_s += charge.seconds;
+  stats_.evaluation_time_s += charge.seconds;
+  stats_.transient_failures +=
+      static_cast<std::size_t>(charge.transient_failures);
+  stats_.retries += static_cast<std::size_t>(charge.retries);
 }
 
 std::string Evaluator::export_profiles() const {
@@ -316,8 +309,8 @@ std::string Evaluator::export_profiles() const {
   os << "profiles " << profiles_.size() << "\n";
   for (const auto& [hash, entry] : order) {
     os << "entry " << entry->mean_seconds;
-    if (entry->censored) os << " censored";
-    if (entry->quarantined) os << " quarantined";
+    if (entry->state == EntryState::kCensored) os << " censored";
+    if (entry->state == EntryState::kQuarantined) os << " quarantined";
     os << "\n" << entry->mapping.serialize();
   }
   return os.str();
@@ -325,10 +318,10 @@ std::string Evaluator::export_profiles() const {
 
 void Evaluator::import_profiles(const std::string& text) {
   LineReader reader(text);
-  reader.at_line([&] { import_profiles_impl(reader, /*update_top=*/true); });
+  reader.at_line([&] { import_profiles_impl(reader); });
 }
 
-void Evaluator::import_profiles_impl(LineReader& reader, bool update_top) {
+void Evaluator::import_profiles_impl(LineReader& reader) {
   reader.next_line("profiles <count>");
   const std::size_t count = to_int<std::size_t>(reader[1], "profiles");
   const TaskGraph& graph = sim_.graph();
@@ -338,26 +331,27 @@ void Evaluator::import_profiles_impl(LineReader& reader, bool update_top) {
     // (the candidate failed its whole retry budget and is cached as
     // permanently failed).
     reader.next_line("entry <mean>", /*more=*/true);
-    const bool censored = reader.size() == 3 && reader[2] == "censored";
-    const bool quarantined = reader.size() == 3 && reader[2] == "quarantined";
-    if (reader.size() != (censored || quarantined ? 3u : 2u))
+    EntryState state = EntryState::kExact;
+    if (reader.size() == 3 && reader[2] == "censored") {
+      state = EntryState::kCensored;
+    } else if (reader.size() == 3 && reader[2] == "quarantined") {
+      state = EntryState::kQuarantined;
+    } else if (reader.size() != 2) {
       throw Error("expected: entry <mean> [censored|quarantined]");
+    }
     const double mean = to_double_or_inf(reader[1], "mean");
     Mapping mapping = Mapping::read(reader, graph);
     const std::uint64_t key = mapping.hash();
-    if (update_top && mean < kInf && !censored) {
+    if (mean < kInf && state == EntryState::kExact) {
       // insert_top dedupes by hash, so importing the same database twice
       // (or re-importing after a search) does not stack duplicate
       // finalists. Censored entries stay out of the finalist list and the
-      // incumbent — their stored value is a bound, not a mean. (During a
-      // checkpoint restore the top-k list is restored verbatim from its
-      // own section instead — re-deriving it here could break mean ties in
-      // a different order than the original chronological insertions.)
+      // incumbent — their stored value is a bound, not a mean.
       insert_top(key, mapping, mean);
       best_seconds_ = std::min(best_seconds_, mean);
     }
-    profiles_.insert_or_assign(
-        key, Entry{key, std::move(mapping), mean, censored, quarantined});
+    profiles_.insert_or_assign(key,
+                               Entry{key, std::move(mapping), mean, state});
   }
   if (reader.next())
     throw Error("more entries than the 'profiles' header promises");
@@ -384,7 +378,8 @@ Mapping Evaluator::with_fallbacks(const Mapping& mapping) const {
     // Addressable kinds from this task's processor, best bandwidth first;
     // a machine has one memory group per kind, so the lists built below
     // name each kind once, as MemPriority requires.
-    std::vector<MemKind> order = machine.memories_addressable_by(tm.proc);
+    SmallVector<MemKind, kNumMemKinds> order =
+        machine.memories_addressable_by(tm.proc);
     std::sort(order.begin(), order.end(), [&](MemKind a, MemKind b) {
       return machine.affinity(tm.proc, a).bandwidth_bytes_per_s >
              machine.affinity(tm.proc, b).bandwidth_bytes_per_s;
@@ -450,21 +445,21 @@ std::size_t Evaluator::evaluate_batch(
       options_.prune_candidates && std::isfinite(threshold);
 
   // Per-candidate plan. Exactly one of three shapes:
-  //  * deferred-to-cache: a usable profiles entry (or an earlier batch
-  //    member equal to this mapping, which will have inserted its entry by
-  //    the time this one folds) already answers it;
-  //  * invalid: fails constraint 1, folds to infinity without execution;
-  //  * execute: one budgeted run sequence with derived seeds.
+  //  * kCached: a usable profiles entry (or an earlier batch member equal
+  //    to this mapping, which will have inserted its entry by the time this
+  //    one folds) already answers it;
+  //  * kInvalid: fails constraint 1, folds to infinity without execution;
+  //  * kEvaluated: one budgeted run sequence with derived seeds, whose
+  //    outcome decides the verdict.
   struct Plan {
     std::uint64_t key = 0;
-    bool invalid = false;
-    bool execute = false;
+    Verdict shape = Verdict::kCached;
     /// Candidate to execute: points at the submitted mapping, or at
     /// `storage` when memory fallbacks extended it. Stable because `plans`
     /// is sized once up front.
     const Mapping* cand = nullptr;
     Mapping storage;          // owns the fallback-extended copy, when any
-    std::size_t outcome = 0;  // index into exec_plans/outcomes, when execute
+    std::size_t outcome = 0;  // index into exec_plans/outcomes, kEvaluated
   };
 
   std::vector<Plan> plans(mappings.size());
@@ -489,7 +484,8 @@ std::size_t Evaluator::evaluate_batch(
     if (const auto it = profiles_.find(plan.key);
         planned.find(plan.key) == planned.end() && it != profiles_.end() &&
         it->second.mapping == mapping &&
-        (!it->second.censored || it->second.mean_seconds >= threshold)) {
+        (it->second.state != EntryState::kCensored ||
+         it->second.mean_seconds >= threshold)) {
       continue;  // deferred: usable profiles-database hit
     }
 
@@ -500,31 +496,24 @@ std::size_t Evaluator::evaluate_batch(
       candidate = &plan.storage;
     }
     if (!candidate->valid(sim_.graph(), sim_.machine())) {
-      plan.invalid = true;
+      plan.shape = Verdict::kInvalid;
       continue;
     }
-    plan.execute = true;
+    plan.shape = Verdict::kEvaluated;
     plan.cand = candidate;
     plan.outcome = exec_plans.size();
     exec_plans.push_back(j);
   }
 
-  // Pre-execute every scheduled candidate across the pool, one lane-owned
-  // scratch arena per lane. Without a pool the fold below runs lazily
-  // instead (avoiding speculative work past a consume() stop).
-  std::vector<CandOutcome> outcomes;
-  const bool pre_executed = pool_ != nullptr && exec_plans.size() > 1;
-  if (pre_executed) {
-    outcomes.resize(exec_plans.size());
-    pool_->parallel_for(
-        exec_plans.size(),
-        [&](std::size_t lane, std::size_t i) {
-          const Plan& plan = plans[exec_plans[i]];
-          outcomes[i] = run_candidate(*plan.cand, plan.key, threshold,
-                                      bound_runs, scratches_[lane]);
-        },
-        options_.pool_priority, options_.pool_stream);
-  }
+  // Pre-execute every scheduled candidate across the pool; without one the
+  // fold below runs them lazily instead.
+  const auto run = [&](std::size_t i, SimScratch& scratch) {
+    const Plan& plan = plans[exec_plans[i]];
+    return run_candidate(*plan.cand, plan.key, threshold, bound_runs,
+                         scratch);
+  };
+  std::vector<CandOutcome> outcomes =
+      pre_execute<CandOutcome>(exec_plans.size(), run);
 
   // Fold serially in submission order; this is the exact serial evaluate()
   // logic with run_candidate replaced by the pre-executed outcomes, so
@@ -538,125 +527,93 @@ std::size_t Evaluator::evaluate_batch(
     if (j > 0 && budget_exhausted()) break;
     const Mapping& mapping = mappings[j];
     const Plan& plan = plans[j];
-    ++stats_.suggested;
 
-    double mean;
-    const char* status;
-    if (plan.invalid) {
-      ++stats_.invalid;
-      profiles_.insert_or_assign(plan.key, Entry{plan.key, mapping, kInf});
-      mean = kInf;
-      status = "invalid";
-    } else if (plan.execute) {
-      const CandOutcome out =
-          pre_executed ? outcomes[plan.outcome]
-                       : run_candidate(*plan.cand, plan.key, threshold,
-                                       bound_runs, scratches_[0]);
-      ++stats_.evaluated;
-      stats_.transient_failures +=
-          static_cast<std::size_t>(out.transient_failures);
-      stats_.retries += static_cast<std::size_t>(out.retries);
-      if (out.oom) {
-        // An OOM surfaces before the event loop (placement is mapping-
-        // deterministic), so censoring never masks it. It still costs some
-        // time to observe (the runtime aborts during instance allocation),
-        // so charge the machine-derived observation cost to the search
-        // clock, plus whatever transient attempts preceded the verdict
-        // (zero in fault-free operation). This fold-side charge is shared
-        // by the serial and batched paths, preserving thread-count
-        // invariance.
-        ++stats_.oom;
-        stats_.search_time_s += failure_observation_cost() + out.charge_s;
-        stats_.evaluation_time_s += failure_observation_cost() + out.charge_s;
-        profiles_.insert_or_assign(plan.key, Entry{plan.key, mapping, kInf});
-        mean = kInf;
-        status = "oom";
-      } else if (out.failed) {
-        // Every repeat was lost to transient faults. Cache the candidate
-        // as quarantined whether or not the consecutive-loss cutoff fired
-        // early: fault draws come from a derived stream, so re-executing
-        // under the same policy would lose the same way — the cache answer
-        // is the honest one.
-        ++stats_.quarantined;
-        stats_.search_time_s += out.charge_s;
-        stats_.evaluation_time_s += out.charge_s;
-        profiles_.insert_or_assign(
-            plan.key, Entry{plan.key, mapping, kInf, /*censored=*/false,
-                            /*quarantined=*/true});
-        mean = kInf;
-        status = "quarantined";
-      } else {
-        stats_.search_time_s += out.charge_s;
-        stats_.evaluation_time_s += out.charge_s;
-        if (out.censored) {
-          // Fold to exactly the threshold (not budget/repeats, whose
-          // rounding could land one ulp below it and leak past a caller's
-          // `mean < bound` acceptance test). Censored candidates never
-          // update the incumbent, trajectory or finalist list.
-          ++stats_.censored;
-          mean = threshold;
-          profiles_.insert_or_assign(
-              plan.key, Entry{plan.key, mapping, mean, /*censored=*/true});
-          status = "censored";
-        } else {
-          mean = aggregate_objective(out);
-          profiles_.insert_or_assign(plan.key, Entry{plan.key, mapping, mean});
-          if (mean < best_seconds_) {
-            best_seconds_ = mean;
-            trajectory_.push_back({stats_.search_time_s, mean});
-            if (journal_) {
-              // 1:1 with trajectory points — the replay drift check and
-              // the Chrome-trace search row both reconstruct the Fig. 9
-              // curve from these.
-              journal_->event("incumbent")
-                  .num("clock", stats_.search_time_s)
-                  .num("best", mean)
-                  .integer("seq",
-                           static_cast<long long>(stats_.suggested));
-            }
-          }
-          // Maintain the top-k list for the finalist protocol.
-          if (mean < kInf) insert_top(plan.key, mapping, mean);
-          status = "evaluated";
-        }
+    double mean = kInf;
+    Verdict verdict = plan.shape;
+    if (verdict == Verdict::kEvaluated) {
+      CandOutcome out = outcomes.empty()
+                            ? run(plan.outcome, scratches_[0])
+                            : std::move(outcomes[plan.outcome]);
+      // The fold-side charge is shared by the serial and batched paths,
+      // preserving thread-count invariance.
+      add_charge(out.charge);
+      verdict = out.verdict;
+      if (verdict == Verdict::kCensored) {
+        // Fold to exactly the threshold (not budget/repeats, whose
+        // rounding could land one ulp below it and leak past a caller's
+        // `mean < bound` acceptance test).
+        mean = threshold;
+      } else if (verdict == Verdict::kEvaluated) {
+        mean = aggregate_objective(out.objective_sum, out.survivors,
+                                   std::move(out.objectives));
       }
-    } else {
+    } else if (verdict == Verdict::kCached) {
       // Deferred: answered by the profiles database — an import, an earlier
       // search, or an earlier batch member that folded before us.
       const auto it = profiles_.find(plan.key);
       AM_CHECK(it != profiles_.end() && it->second.mapping == mapping,
                "deferred batch member lost its profiles entry");
       mean = it->second.mean_seconds;
-      ++stats_.cache_hits;
-      status = "cached";
     }
-
-    if (journal_ || metrics_) journal_candidate(status, mean, plan.key);
+    record(verdict, plan.key, mapping, mean);
     ++folded;
     if (!consume(j, mean)) break;
   }
   return folded;
 }
 
-void Evaluator::journal_candidate(const char* status, double mean,
-                                  std::uint64_t hash) {
-  const std::string_view s(status);
-  if (metrics_) {
-    m_suggested_->inc();
-    if (s == "cached") {
-      m_cache_hits_->inc();
-    } else if (s == "invalid") {
-      m_invalid_->inc();
-    } else {
-      m_evaluated_->inc();
-      if (s == "oom") {
-        m_oom_->inc();
-      } else if (s == "censored") {
-        m_censored_->inc();
-      } else if (s == "quarantined") {
-        m_quarantined_->inc();
+void Evaluator::record(Verdict verdict, std::uint64_t key,
+                       const Mapping& mapping, double mean) {
+  // Per verdict: its journal status, whether it executed (bumping
+  // `evaluated`), the counter it bumps besides those two and `suggested`,
+  // and the state of the profiles entry it stores.
+  static constexpr struct {
+    const char* status;
+    bool executed;
+    std::size_t SearchStats::*counter;
+    EntryState state;
+  } kRows[] = {
+      {"evaluated", true, nullptr, EntryState::kExact},
+      {"cached", false, &SearchStats::cache_hits, EntryState::kExact},
+      {"invalid", false, &SearchStats::invalid, EntryState::kExact},
+      {"oom", true, &SearchStats::oom, EntryState::kExact},
+      {"censored", true, &SearchStats::censored, EntryState::kCensored},
+      {"quarantined", true, &SearchStats::quarantined,
+       EntryState::kQuarantined},
+  };
+  const auto& row = kRows[static_cast<std::size_t>(verdict)];
+  for (std::size_t i = 0; i < std::size(kSearchCounters); ++i) {
+    const auto field = kSearchCounters[i].field;
+    if (field == &SearchStats::suggested || field == row.counter ||
+        (row.executed && field == &SearchStats::evaluated)) {
+      ++(stats_.*field);
+      if (m_counters_[i] != nullptr) m_counters_[i]->inc();
+    }
+  }
+
+  if (verdict != Verdict::kCached)
+    profiles_.insert_or_assign(key, Entry{key, mapping, mean, row.state});
+  // Censored candidates never update the incumbent, trajectory or
+  // finalist list: their value is a bound, not a mean.
+  if (verdict == Verdict::kEvaluated) {
+    if (mean < best_seconds_) {
+      best_seconds_ = mean;
+      trajectory_.push_back({stats_.search_time_s, mean});
+      if (journal_) {
+        // 1:1 with trajectory points — the replay drift check and the
+        // Chrome-trace search row both reconstruct the Fig. 9 curve from
+        // these.
+        journal_->event("incumbent")
+            .num("clock", stats_.search_time_s)
+            .num("best", mean)
+            .integer("seq", static_cast<long long>(stats_.suggested));
       }
     }
+    // Maintain the top-k list for the finalist protocol.
+    if (mean < kInf) insert_top(key, mapping, mean);
+  }
+
+  if (metrics_) {
     m_search_clock_->set(stats_.search_time_s);
     if (std::isfinite(best_seconds_)) m_best_seconds_->set(best_seconds_);
     if (std::isfinite(mean)) m_candidate_mean_->observe(mean);
@@ -664,10 +621,10 @@ void Evaluator::journal_candidate(const char* status, double mean,
   if (journal_) {
     journal_->event("candidate")
         .integer("seq", static_cast<long long>(stats_.suggested))
-        .str("status", s)
+        .str("status", row.status)
         .num("mean", mean)
         .num("clock", stats_.search_time_s)
-        .str("hash", hex_u64(hash));
+        .str("hash", hex_u64(key));
     journal_metrics_snapshot(/*force=*/false);
   }
 }
@@ -757,11 +714,9 @@ std::string Evaluator::serialize_state() const {
   os.precision(17);
   os << "evaluator-state 1\n";
   os << "best_seconds " << best_seconds_ << "\n";
-  os << "counters " << stats_.suggested << " " << stats_.evaluated << " "
-     << stats_.invalid << " " << stats_.oom << " " << stats_.censored << " "
-     << stats_.cache_hits << " " << stats_.transient_failures << " "
-     << stats_.retries << " " << stats_.quarantined << " "
-     << (stats_.degraded ? 1 : 0) << "\n";
+  os << "counters";
+  for (const SearchCounter& c : kSearchCounters) os << " " << stats_.*c.field;
+  os << " " << (stats_.degraded ? 1 : 0) << "\n";
   os << "clocks " << stats_.search_time_s << " " << stats_.evaluation_time_s
      << "\n";
   os << "rotations " << stats_.rotations.size() << "\n";
@@ -795,17 +750,18 @@ void Evaluator::restore_state(LineReader& reader) {
   // incumbent and the rotation bounds are infinite.
   reader.next_line("evaluator-state 1");
   reader.next_line("best_seconds <seconds>");
-  best_seconds_ = to_double_or_inf(reader[1], "best_seconds");
-  reader.next_line(
-      "counters <suggested> <evaluated> <invalid> <oom> <censored> "
-      "<cache_hits> <transient_failures> <retries> <quarantined> <degraded>");
-  std::size_t* const counters[] = {
-      &stats_.suggested,  &stats_.evaluated,          &stats_.invalid,
-      &stats_.oom,        &stats_.censored,           &stats_.cache_hits,
-      &stats_.transient_failures, &stats_.retries, &stats_.quarantined};
-  for (std::size_t i = 0; i < 9; ++i)
-    *counters[i] = to_int<std::size_t>(reader[1 + i], "counters");
-  stats_.degraded = to_int(reader[10], 0, 1, "degraded") == 1;
+  const double best_seconds = to_double_or_inf(reader[1], "best_seconds");
+  static const std::string counters_usage = [] {
+    std::string usage = "counters";
+    for (const SearchCounter& c : kSearchCounters)
+      usage += std::string(" <") + c.name + ">";
+    return usage + " <degraded>";
+  }();
+  reader.next_line(counters_usage);
+  std::size_t token = 1;
+  for (const SearchCounter& c : kSearchCounters)
+    stats_.*c.field = to_int<std::size_t>(reader[token++], "counters");
+  stats_.degraded = to_int(reader[token], 0, 1, "degraded") == 1;
   reader.next_line("clocks <search_time_s> <evaluation_time_s>");
   stats_.search_time_s = to_double_or_inf(reader[1], "search_time_s");
   stats_.evaluation_time_s = to_double_or_inf(reader[2], "evaluation_time_s");
@@ -830,17 +786,22 @@ void Evaluator::restore_state(LineReader& reader) {
                            to_double_or_inf(reader[2], "value")});
   }
   reader.next_line("top <count>");
+  std::vector<Entry> top;
   for (std::size_t i = 0, n = to_int<std::size_t>(reader[1], "top");
        i < n; ++i) {
     reader.next_line("finalist <mean>");
     const double mean = to_double_or_inf(reader[1], "mean");
     Mapping mapping = Mapping::read(reader, sim_.graph());
     const std::uint64_t key = mapping.hash();
-    top_.push_back(Entry{key, std::move(mapping), mean});
+    top.push_back(Entry{key, std::move(mapping), mean});
   }
-  // The profiles section is a verbatim database export; the top-k list and
-  // incumbent were restored above, so the import must not rebuild them.
-  import_profiles_impl(reader, /*update_top=*/false);
+  // The profiles section is a verbatim database export. Importing it
+  // rebuilds a top-k list and incumbent, which the sections above replace:
+  // re-deriving the list could break mean ties in a different order than
+  // the original chronological insertions.
+  import_profiles_impl(reader);
+  top_ = std::move(top);
+  best_seconds_ = best_seconds;
 }
 
 const Mapping& EvaluatorView::best() const {
@@ -876,6 +837,8 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
 
   // All (finalist, repeat) reruns are independent under derived seeds, so
   // they fan out across the pool as one batch and fold back in top-k order.
+  // Finalist reruns are never bounded: the protocol's whole point is an
+  // exact mean over the top-k, and top-k entries are never censored.
   const int repeats = options_.final_repeats;
   const std::size_t runs_per = static_cast<std::size_t>(repeats);
   std::vector<Mapping> candidates;
@@ -883,21 +846,30 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
   for (const Entry& entry : top_)
     candidates.push_back(with_fallbacks(entry.mapping));
 
-  std::vector<RunOutcome> outcomes;
-  const bool pre_executed =
-      pool_ != nullptr && candidates.size() * runs_per > 1;
-  if (pre_executed) {
-    outcomes.resize(candidates.size() * runs_per);
-    pool_->parallel_for(
-        outcomes.size(),
-        [&](std::size_t lane, std::size_t i) {
-          const std::size_t e = i / runs_per;
-          const int r = static_cast<int>(i % runs_per);
-          outcomes[i] =
-              execute_run(candidates[e], top_[e].key, r, scratches_[lane]);
-        },
-        options_.pool_priority, options_.pool_stream);
-  }
+  const auto rerun = [&](std::size_t i, SimScratch& scratch) {
+    const std::size_t e = i / runs_per;
+    RunOutcome out;
+    if (!sim_.begin_runs(candidates[e], scratch)) {
+      // Deterministic failure (OOM): one observation cost, same as the
+      // search loop charges.
+      out.excluded = true;
+      out.charge.seconds = failure_observation_cost();
+      return out;
+    }
+    if (const ExecutionReport* report =
+            run_repeat(candidates[e], top_[e].key,
+                       static_cast<int>(i % runs_per), kFinalSalt, kInf,
+                       scratch, out.charge)) {
+      out.ok = true;
+      out.objective = options_.objective == Objective::kEnergy
+                          ? report->energy_joules
+                          : report->total_seconds;
+      out.total_seconds = report->total_seconds;
+    }
+    return out;
+  };
+  const std::vector<RunOutcome> outcomes =
+      pre_execute<RunOutcome>(candidates.size() * runs_per, rerun);
 
   const bool robust = options_.resilience.aggregation != Aggregation::kMean;
   double best_final = kInf;
@@ -906,28 +878,17 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
     int ok_runs = 0;
     bool excluded = false;
     std::vector<double> values;  // per-survivor, robust aggregations only
-    for (int r = 0; r < repeats; ++r) {
+    for (std::size_t i = e * runs_per; i < (e + 1) * runs_per; ++i) {
       const RunOutcome out =
-          pre_executed
-              ? outcomes[e * runs_per + static_cast<std::size_t>(r)]
-              : execute_run(candidates[e], top_[e].key, r, scratches_[0]);
-      // charge_s carries lost attempts, retry backoff and failure
-      // observation costs (zero for a fault-free success), so the fold is
-      // one accumulation for every outcome shape.
-      stats_.search_time_s += out.charge_s;
-      stats_.evaluation_time_s += out.charge_s;
-      stats_.transient_failures +=
-          static_cast<std::size_t>(out.transient_failures);
-      stats_.retries += static_cast<std::size_t>(out.retries);
-      if (!out.ok) {
-        if (!out.transient) {
-          // Deterministic failure (OOM): the finalist can never complete,
-          // so stop rerunning it — the historical exclusion rule.
-          excluded = true;
-          break;
-        }
-        continue;  // transient-exhausted repeat: lost, keep folding
+          outcomes.empty() ? rerun(i, scratches_[0]) : outcomes[i];
+      add_charge(out.charge);
+      if (out.excluded) {
+        // The finalist can never complete, so stop rerunning it — the
+        // historical exclusion rule.
+        excluded = true;
+        break;
       }
+      if (!out.ok) continue;  // transient-exhausted repeat: lost
       sum += out.objective;
       stats_.search_time_s += out.total_seconds;
       stats_.evaluation_time_s += out.total_seconds;
@@ -939,11 +900,7 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
     // ok_runs == repeats rule bit for bit.
     double final_mean = kInf;
     if (!excluded && ok_runs * 2 > repeats) {
-      CandOutcome agg;
-      agg.objective_sum = sum;
-      agg.survivors = ok_runs;
-      agg.objectives = std::move(values);
-      final_mean = aggregate_objective(agg);
+      final_mean = aggregate_objective(sum, ok_runs, std::move(values));
       if (final_mean < best_final) {
         best_final = final_mean;
         result.best = top_[e].mapping;

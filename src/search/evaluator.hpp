@@ -44,6 +44,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <span>
@@ -187,68 +188,69 @@ class Evaluator {
  private:
   friend class EvaluatorView;
 
+  /// How a profiles entry's stored value was obtained.
+  enum class EntryState : std::uint8_t {
+    kExact,
+    /// A censored observation: the candidate's true mean provably exceeds
+    /// the stored value (the censor threshold in force when it was
+    /// recorded) but was never resolved exactly. It answers any query whose
+    /// threshold is at most the stored value; a looser query re-executes
+    /// and overwrites it.
+    kCensored,
+    /// Quarantined by the resilience policy: every repeat was lost to
+    /// transient faults, so the entry is cached as failed (mean infinity)
+    /// and never re-run under this search.
+    kQuarantined,
+  };
   struct Entry {
     /// mapping.hash(), the profiles-database key, computed once.
     std::uint64_t key;
     Mapping mapping;
     double mean_seconds;
-    /// True when mean_seconds is a censored observation: the candidate's
-    /// true mean provably exceeds the stored value (the censor threshold
-    /// in force when it was recorded) but was never resolved exactly. A
-    /// censored entry answers any query whose threshold is at most the
-    /// stored value; a looser query re-executes and overwrites it.
-    bool censored = false;
-    /// True when the candidate was quarantined by the resilience policy:
-    /// it failed quarantine_after consecutive repeats (retries included)
-    /// and is cached as failed (mean infinity) — never re-run under this
-    /// search. Mutually exclusive with censored.
-    bool quarantined = false;
+    EntryState state = EntryState::kExact;
   };
-  /// Result of one pre-executed simulated run, reduced to what folding
-  /// needs (full ExecutionReports would hold per-task vectors per run).
-  struct RunOutcome {
-    bool ok = false;
-    double objective = 0.0;
-    double total_seconds = 0.0;
-    /// The run's failure (ok == false) was a transient injected fault and
-    /// its retry budget is exhausted — the repeat is lost, but the finalist
-    /// is not excluded outright the way a deterministic failure excludes.
-    bool transient = false;
-    /// Simulated seconds consumed by this run *beyond* total_seconds: lost
-    /// attempts, retry backoff, and failure observation cost. Charged to
-    /// the search clock by the fold; zero in fault-free operation for ok
-    /// runs (for failed runs it carries failure_observation_cost(), which
-    /// the fold previously added at the call site).
-    double charge_s = 0.0;
+  /// Where one proposal's fold ends: its journal status, the counters it
+  /// bumps and the profiles entry it leaves (see record()).
+  enum class Verdict {
+    kEvaluated, kCached, kInvalid, kOom, kCensored, kQuarantined
+  };
+  /// Simulated seconds and fault counts a run sequence accumulates beyond
+  /// its successful runs: lost attempts, failure observation costs and
+  /// retry backoff, added in the order they happen.
+  struct Charge {
+    double seconds = 0.0;
     int transient_failures = 0;
     int retries = 0;
   };
   /// Result of one candidate's budgeted run sequence.
   struct CandOutcome {
-    bool oom = false;
-    /// The candidate exhausted its simulated-seconds budget: its true mean
-    /// provably exceeds the batch's censor threshold.
-    bool censored = false;
-    /// Every repeat was lost to transient faults (retries exhausted); the
-    /// candidate folds to infinity.
-    bool failed = false;
-    /// failed via quarantine_after consecutive lost repeats — the candidate
-    /// is additionally cached so it is never proposed for execution again.
-    bool quarantined = false;
-    /// Sum of the objective over the completed (uncensored) runs; unused
-    /// when censored or oom.
+    /// kEvaluated, kOom, kCensored (the candidate exhausted its simulated-
+    /// seconds budget: its true mean provably exceeds the batch's censor
+    /// threshold) or kQuarantined (every repeat was lost to transient
+    /// faults, or quarantine_after consecutive ones were).
+    Verdict verdict = Verdict::kEvaluated;
+    /// Sum of the objective over the completed (uncensored) runs.
     double objective_sum = 0.0;
     /// Simulated seconds to charge to the search clock: the full run
-    /// totals, clipped at the budget, plus fault losses and retry backoff.
-    /// Independent of prune_candidates by construction.
-    double charge_s = 0.0;
+    /// totals, clipped at the budget, plus fault losses and retry backoff
+    /// (the failure observation cost for an OOM). Independent of
+    /// prune_candidates by construction.
+    Charge charge;
     /// Repeats that produced a valid observation (== repeats fault-free).
     int survivors = 0;
-    int transient_failures = 0;
-    int retries = 0;
     /// Per-survivor objective values, recorded only under the robust
     /// aggregations (the mean needs just the sum).
     std::vector<double> objectives;
+  };
+  /// Result of one finalist rerun.
+  struct RunOutcome {
+    /// The rerun survived; objective and total_seconds are its values.
+    bool ok = false;
+    /// begin_runs failed (OOM): the finalist can never complete.
+    bool excluded = false;
+    double objective = 0.0;
+    double total_seconds = 0.0;
+    Charge charge;
   };
 
   /// Deterministic per-(candidate, repeat, attempt) noise seed — the scheme
@@ -262,15 +264,24 @@ class Evaluator {
   /// quantum (or the machine's restart_overhead) doubled per attempt.
   [[nodiscard]] double retry_backoff(int attempt) const;
   /// Folds a candidate's surviving repeats into one recorded value per the
-  /// configured Aggregation. For kMean this is objective_sum / survivors —
-  /// bit-identical to the historical objective_sum / repeats when nothing
-  /// was lost.
-  [[nodiscard]] double aggregate_objective(const CandOutcome& out) const;
-  /// Executes one unbounded finalist-protocol run (retrying transient
-  /// faults under the resilience policy) and reduces it to a RunOutcome.
-  [[nodiscard]] RunOutcome execute_run(const Mapping& candidate,
-                                       std::uint64_t hash, int repeat,
-                                       SimScratch& scratch) const;
+  /// configured Aggregation: `sum` of the objective over `survivors`
+  /// repeats, whose values are `values` under the robust aggregations. For
+  /// kMean this is sum / survivors — bit-identical to the historical
+  /// sum / repeats when nothing was lost.
+  [[nodiscard]] double aggregate_objective(double sum, int survivors,
+                                           std::vector<double> values) const;
+  /// Runs repeat `repeat` of the plan begin_runs prepared in `scratch`,
+  /// under a simulated-time bound of `bound_s`, retrying transient faults
+  /// under the resilience policy. Each lost attempt's partial run and
+  /// failure observation cost, and each retry's backoff, is added into
+  /// `charge` as it happens. Returns the surviving (possibly censored)
+  /// run's report, or null when the retry budget ran out and the repeat is
+  /// lost.
+  const ExecutionReport* run_repeat(const Mapping& candidate,
+                                    std::uint64_t key, int repeat,
+                                    std::uint64_t salt, double bound_s,
+                                    SimScratch& scratch,
+                                    Charge& charge) const;
   /// Executes one candidate's `repeats` runs as a race against the censor
   /// threshold: after k runs the candidate is censored once its running sum
   /// crosses a noise-aware confidence line (capped at repeats x threshold,
@@ -284,6 +295,16 @@ class Evaluator {
                                           double threshold_s,
                                           bool bound_runs,
                                           SimScratch& scratch) const;
+  /// Runs `run(i, scratch)` for every i < n across the pool, one lane-owned
+  /// scratch arena per lane, and returns the results in index order.
+  /// Without a pool, or for a single item, returns nothing: the caller's
+  /// fold then runs each item lazily on lane 0's arena (no speculative work
+  /// past an early stop).
+  template <typename Out, typename Run>
+  std::vector<Out> pre_execute(std::size_t n, const Run& run);
+  /// Adds a run sequence's charge to the search clock, the evaluation
+  /// clock and the fault counters.
+  void add_charge(const Charge& charge);
   /// Simulated cost of observing a failed (OOM) evaluation: the runtime
   /// still performs dependence analysis and instance allocation for every
   /// task before aborting, so each failure charges one runtime-overhead
@@ -293,19 +314,19 @@ class Evaluator {
   /// structural hash and mapping is already present (dedupe on import).
   void insert_top(std::uint64_t key, const Mapping& mapping, double mean);
   /// Shared core of import_profiles and restore_state: parses a profiles
-  /// section that runs to the end of the text. When `update_top` is false
-  /// the top-k list and incumbent are left untouched (restore_state
-  /// rebuilds them verbatim from its own section to preserve tie order).
-  void import_profiles_impl(LineReader& reader, bool update_top);
+  /// section that runs to the end of the text into the database, the
+  /// finalist list and the incumbent.
+  void import_profiles_impl(LineReader& reader);
   /// Serializes the profiles database (every measured mapping with its
   /// mean) for reuse via SearchOptions::profiles_seed.
   [[nodiscard]] std::string export_profiles() const;
 
-  /// Emits one fold-side `candidate` journal event and updates the
-  /// per-candidate metrics. `status` is one of evaluated / cached /
-  /// invalid / oom / censored / quarantined. Serial fold side only.
-  void journal_candidate(const char* status, double mean,
-                         std::uint64_t hash);
+  /// Records one folded proposal: bumps its SearchStats counters and
+  /// metrics, stores its profiles entry (all but kCached), updates the
+  /// incumbent, trajectory and finalist list (kEvaluated), and emits its
+  /// `candidate` journal event. Serial fold side only.
+  void record(Verdict verdict, std::uint64_t key, const Mapping& mapping,
+              double mean);
   /// Appends a deterministic metrics snapshot to the journal when the
   /// snapshot cadence is due (or `force` is set).
   void journal_metrics_snapshot(bool force);
@@ -335,13 +356,9 @@ class Evaluator {
   // happens on the serial fold side, preserving thread-count invariance.
   Journal* journal_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;
-  Counter* m_suggested_ = nullptr;
-  Counter* m_evaluated_ = nullptr;
-  Counter* m_invalid_ = nullptr;
-  Counter* m_oom_ = nullptr;
-  Counter* m_censored_ = nullptr;
-  Counter* m_cache_hits_ = nullptr;
-  Counter* m_quarantined_ = nullptr;
+  /// Candidate counters, indexed like kSearchCounters (null for the
+  /// counters that are not candidate metrics).
+  Counter* m_counters_[std::size(kSearchCounters)] = {};
   Gauge* m_search_clock_ = nullptr;
   Gauge* m_best_seconds_ = nullptr;
   Histogram* m_candidate_mean_ = nullptr;

@@ -219,10 +219,9 @@ SearchResult run_ccd_multistart(const Simulator& sim,
     const Mapping start =
         random_valid_mapping(sim.graph(), sim.machine(), rng);
     result = run_ccd_from(sim, next, start);
-    combined.suggested += result.stats.suggested;
-    combined.evaluated += result.stats.evaluated;
-    combined.invalid += result.stats.invalid;
-    combined.oom += result.stats.oom;
+    for (const SearchCounter& c : kSearchCounters)
+      combined.*c.field += result.stats.*c.field;
+    combined.degraded = combined.degraded || result.stats.degraded;
     combined.search_time_s += result.stats.search_time_s;
     combined.evaluation_time_s += result.stats.evaluation_time_s;
   }

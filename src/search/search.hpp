@@ -301,6 +301,25 @@ struct SearchStats {
   }
 };
 
+/// One SearchStats counter and its name. kSearchCounters lists all nine
+/// once: the checkpoint `counters` line, the service result's `stats`
+/// object and run_ccd_multistart's merge all walk it, in this order.
+struct SearchCounter {
+  const char* name;
+  std::size_t SearchStats::*field;
+};
+inline constexpr SearchCounter kSearchCounters[] = {
+    {"suggested", &SearchStats::suggested},
+    {"evaluated", &SearchStats::evaluated},
+    {"invalid", &SearchStats::invalid},
+    {"oom", &SearchStats::oom},
+    {"censored", &SearchStats::censored},
+    {"cache_hits", &SearchStats::cache_hits},
+    {"transient_failures", &SearchStats::transient_failures},
+    {"retries", &SearchStats::retries},
+    {"quarantined", &SearchStats::quarantined},
+};
+
 struct SearchResult {
   std::string algorithm;
   Mapping best;

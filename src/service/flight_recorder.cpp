@@ -96,9 +96,15 @@ FlightRecorder::Timeline& FlightRecorder::timeline_locked(
 void FlightRecorder::append_locked(Timeline& timeline, Span span) {
   while (timeline.spans.size() >= options_.max_spans_per_job &&
          timeline.spans.size() > 1) {
-    // Keep the first span — it anchors age_ms — and shed the oldest of
-    // the rest (in practice checkpoint markers, the only unbounded part).
-    timeline.spans.erase(timeline.spans.begin() + 1);
+    // Keep the first span — it anchors age_ms — and shed the oldest
+    // instant marker (checkpoint markers are the only unbounded part), so
+    // the lifecycle spans survive; only a timeline of lifecycle spans
+    // alone sheds the oldest of them.
+    auto victim = std::find_if(timeline.spans.begin() + 1,
+                               timeline.spans.end(),
+                               [](const Span& s) { return s.instant; });
+    if (victim == timeline.spans.end()) victim = timeline.spans.begin() + 1;
+    timeline.spans.erase(victim);
     ++timeline.dropped;
   }
   timeline.spans.push_back(std::move(span));
@@ -278,8 +284,7 @@ void FlightRecorder::restore(std::uint64_t job, const std::string& payload) {
              "spans payload needs a 'spans' array");
 
   Timeline timeline;
-  timeline.dropped =
-      static_cast<std::uint64_t>(doc.num_or("dropped", 0));
+  timeline.dropped = json_int_or<std::uint64_t>(doc, "dropped", 0);
   timeline.terminal = doc.bool_or("terminal", false);
   double newest = -std::numeric_limits<double>::infinity();
   for (const JsonValue& entry : spans->array) {
@@ -293,7 +298,7 @@ void FlightRecorder::restore(std::uint64_t job, const std::string& payload) {
     span.end_ms = (end != nullptr && end->kind == JsonValue::Kind::kNumber)
                       ? end->number
                       : -1;
-    span.worker = static_cast<int>(entry.num_or("worker", -1));
+    span.worker = json_int_or(entry, "worker", -1);
     span.instant = entry.bool_or("instant", false);
     if (const JsonValue* attrs = entry.find("attrs"))
       for (const auto& [key, value] : attrs->object)

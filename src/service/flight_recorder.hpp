@@ -17,8 +17,9 @@
 // service's cancelled-job revival path.
 //
 // Bounded by design: at most `max_spans_per_job` spans per job (the
-// oldest non-initial spans are dropped and counted — checkpoint markers
-// are what grows, and the first span anchors the job's age), at most
+// oldest instant markers are dropped and counted first — checkpoint
+// markers are what grows — so the lifecycle spans survive; the first span
+// anchors the job's age and is never dropped), at most
 // `max_jobs` timelines (least-recently-touched terminal timelines evict
 // first), and a fixed ring of service-level events (admission rejections,
 // deadline expiries, evictions, quarantines). The recorder has its own
@@ -46,8 +47,9 @@ struct FlightRecorderOptions {
   /// terminal timeline (or the least-recently-touched overall when none
   /// is terminal).
   std::size_t max_jobs = 512;
-  /// Span budget per timeline; exceeding it drops the oldest span after
-  /// the first (the first anchors the job's age) and bumps dropped().
+  /// Span budget per timeline; exceeding it drops the oldest instant
+  /// marker — or, with none left, the oldest span after the first (the
+  /// first anchors the job's age) — and bumps dropped().
   std::size_t max_spans_per_job = 64;
   /// Ring size for service-level events (admission rejections, deadline
   /// expiries, evictions, quarantines).

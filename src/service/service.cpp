@@ -1116,17 +1116,10 @@ void MappingService::run_job(std::uint64_t id, int worker) {
     payload += ",\"describe\":\"" +
                json_escape(result.best.describe(graph)) + "\"";
     payload += ",\"stats\":{";
-    payload += "\"suggested\":" + std::to_string(stats.suggested);
-    payload += ",\"evaluated\":" + std::to_string(stats.evaluated);
-    payload += ",\"invalid\":" + std::to_string(stats.invalid);
-    payload += ",\"oom\":" + std::to_string(stats.oom);
-    payload += ",\"censored\":" + std::to_string(stats.censored);
-    payload += ",\"cache_hits\":" + std::to_string(stats.cache_hits);
-    payload += ",\"transient_failures\":" +
-               std::to_string(stats.transient_failures);
-    payload += ",\"retries\":" + std::to_string(stats.retries);
-    payload += ",\"quarantined\":" + std::to_string(stats.quarantined);
-    payload += ",\"degraded\":";
+    for (const SearchCounter& c : kSearchCounters)
+      payload += std::string("\"") + c.name +
+                 "\":" + std::to_string(stats.*c.field) + ",";
+    payload += "\"degraded\":";
     payload += stats.degraded ? "true" : "false";
     payload += ",\"search_time_s\":" + json_double(stats.search_time_s);
     payload += ",\"evaluation_time_s\":" +

@@ -384,7 +384,7 @@ class Simulator {
   /// NUMA cross-socket penalty. NaN for unaddressable combinations.
   std::vector<double> arg_sec_;
   Chan chan_[kNumMemKinds][kNumMemKinds][2];
-  std::vector<MemKind> mem_kinds_;
+  SmallVector<MemKind, kNumMemKinds> mem_kinds_;
   double runtime_overhead_ = 0.0;
   int num_nodes_ = 1;
   /// Expected trace length (tasks + a 2-leg bound per data edge, per

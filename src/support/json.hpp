@@ -69,6 +69,14 @@ template <typename T>
   return static_cast<T>(x);
 }
 
+/// json_to_int of the member `key` of `obj`, or `fallback` when absent.
+template <typename T>
+[[nodiscard]] T json_int_or(const JsonValue& obj, std::string_view key,
+                            T fallback) {
+  const JsonValue* v = obj.find(key);
+  return v != nullptr ? json_to_int<T>(*v, key) : fallback;
+}
+
 /// Parses one JSON document (throws Error on malformed input, with an
 /// offset in the message). Trailing whitespace is allowed; trailing
 /// content is an error.

@@ -4,14 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/apps/circuit.hpp"
 #include "src/apps/stencil.hpp"
 #include "src/machine/machine.hpp"
+#include "src/report/journal.hpp"
 #include "src/search/coordinate_descent.hpp"
 #include "src/search/extra_algorithms.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/error.hpp"
+#include "src/support/json.hpp"
 
 namespace automap {
 namespace {
@@ -107,6 +112,55 @@ TEST_F(ExtraAlgorithms, MultistartRespectsBudget) {
   // Later passes were skipped or truncated by the budget.
   EXPECT_LT(multi.stats.search_time_s, 3 * single.stats.search_time_s);
   EXPECT_THROW((void)run_ccd_multistart(sim, capped, -1), Error);
+}
+
+TEST_F(ExtraAlgorithms, MultistartStatsAreTheSumOfItsPasses) {
+  // Faults make every counter move, retries and quarantines included.
+  const Simulator faulty(machine, app.graph,
+                         {.iterations = 3,
+                          .noise_sigma = 0.02,
+                          .faults = {.crash_prob = 0.05,
+                                     .straggler_prob = 0.1,
+                                     .copy_fault_prob = 0.05}});
+  Journal journal;
+  SearchOptions options{.rotations = 2, .repeats = 3, .seed = 11};
+  options.resilience = {.max_retries = 1, .quarantine_after = 2};
+  options.journal = &journal;
+  const SearchResult multi = run_ccd_multistart(faulty, options, 1);
+
+  // Pass one is a plain CCD search; pass two restarts from the seed and
+  // start mapping its search_begin record carries, over pass one's
+  // profiles database.
+  options.journal = nullptr;
+  const SearchResult first = run_ccd(faulty, options);
+  std::vector<JsonValue> begins;
+  std::istringstream is(journal.text());
+  for (std::string line; std::getline(is, line);) {
+    JsonValue ev = parse_json(line);
+    if (ev.str_or("type", "") == "search_begin") begins.push_back(ev);
+  }
+  ASSERT_EQ(begins.size(), 2u);
+  SearchOptions next = search_options_from_json(*begins[1].find("options"));
+  next.profiles_seed = first.profiles_db;
+  const SearchResult second = run_ccd_from(
+      faulty, next, Mapping::parse(begins[1].str_or("start", ""), app.graph));
+
+  for (const SearchCounter& c : kSearchCounters) {
+    EXPECT_EQ(multi.stats.*c.field,
+              first.stats.*c.field + second.stats.*c.field)
+        << c.name;
+  }
+  EXPECT_GT(second.stats.cache_hits, 0u);
+  EXPECT_GT(second.stats.retries, 0u);
+  EXPECT_EQ(multi.stats.degraded,
+            first.stats.degraded || second.stats.degraded);
+  EXPECT_EQ(multi.stats.search_time_s,
+            first.stats.search_time_s + second.stats.search_time_s);
+  EXPECT_EQ(multi.stats.evaluation_time_s,
+            first.stats.evaluation_time_s + second.stats.evaluation_time_s);
+  EXPECT_EQ(multi.stats.suggested, multi.stats.evaluated +
+                                       multi.stats.invalid +
+                                       multi.stats.cache_hits);
 }
 
 TEST_F(ExtraAlgorithms, DeterministicPerSeed) {

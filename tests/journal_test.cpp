@@ -287,6 +287,89 @@ TEST(Explain, RejectsTamperedMoveChains) {
   }
 }
 
+/// `text` with the value of the first `"key":` after `anchor` (on the same
+/// line) replaced by `value`.
+std::string with_value(std::string text, const std::string& anchor,
+                       const std::string& key, const std::string& value) {
+  const std::size_t at = text.find(anchor);
+  EXPECT_NE(at, std::string::npos) << anchor;
+  const std::size_t field = text.find("\"" + key + "\":", at);
+  EXPECT_LT(field, text.find('\n', at)) << anchor << " " << key;
+  const std::size_t begin = field + key.size() + 3;
+  const std::size_t end = text.find_first_of(",}]", begin);
+  return text.replace(begin, end - begin, value);
+}
+
+/// Runs `read` and expects one Error naming the field `key`.
+template <typename Read>
+void expect_field_error(const Read& read, const std::string& key,
+                        const std::string& value) {
+  try {
+    read();
+    ADD_FAILURE() << key << " = " << value << " was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos)
+        << key << " = " << value << ": " << e.what();
+  }
+}
+
+TEST(Explain, RejectsNonIntegerJsonFields) {
+  const BenchmarkApp app = make_app_by_name("stencil", 2, 1);
+  const MachineModel machine = make_shepard(2);
+  const std::string text = journal_of_stencil_ccd(1);
+  // The first accepted move with a forced co-location list.
+  const std::size_t forced = text.find("\"forced\":[{\"task\"");
+  ASSERT_NE(forced, std::string::npos);
+  const std::size_t line = text.rfind('\n', forced) + 1;
+  ASSERT_LT(text.find("\"accepted\":true", line), forced);
+  const std::string move = text.substr(line, text.find(",", line + 5) - line);
+  const struct {
+    std::string anchor, key;
+  } explain_fields[] = {{"\"type\":\"journal\"", "version"},
+                        {"{\"n\":1,", "n"},
+                        {move, "rot"},
+                        {move, "task"},
+                        {move, "arg"},
+                        {"\"forced\":[{", "task"},
+                        {"\"forced\":[{", "arg"}};
+
+  // Version 1 journals spread the options over flat search_begin fields,
+  // which only replay reads.
+  const std::size_t opts = text.find("\"options\":{");
+  const std::size_t start = text.find("\"start\":", opts);
+  std::string v1 = text;
+  v1.replace(opts, start - opts,
+             "\"seed\":\"42\",\"rotations\":3,\"repeats\":3,\"top_k\":5,"
+             "\"final_repeats\":31,\"max_retries\":2,\"quarantine_after\":3,"
+             "\"frozen\":[0],\"sim_iterations\":10,");
+  v1 = with_value(v1, "\"type\":\"journal\"", "version", "1");
+  const char* replay_fields[] = {"rotations",    "repeats",
+                                 "top_k",        "final_repeats",
+                                 "max_retries",  "quarantine_after",
+                                 "sim_iterations"};
+
+  for (const std::string value : {"1e300", "2.5"}) {
+    for (const auto& f : explain_fields) {
+      const std::string bad = with_value(text, f.anchor, f.key, value);
+      expect_field_error([&] { (void)render_explain(app.graph, bad); },
+                         f.key, value);
+    }
+    for (const std::string key : replay_fields) {
+      const std::string bad = with_value(v1, "\"type\":\"search_begin\"",
+                                         key, value);
+      expect_field_error(
+          [&] { (void)replay_journal(machine, app.graph, bad, 1); }, key,
+          value);
+    }
+    std::string bad_frozen = v1;
+    bad_frozen.replace(bad_frozen.find("\"frozen\":[0]"), 12,
+                       "\"frozen\":[" + value + "]");
+    expect_field_error(
+        [&] { (void)replay_journal(machine, app.graph, bad_frozen, 1); },
+        "frozen", value);
+  }
+}
+
 TEST(Replay, FreshRunMatchesTheJournal) {
   const BenchmarkApp app = make_app_by_name("stencil", 2, 1);
   const MachineModel machine = make_shepard(2);

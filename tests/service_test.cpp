@@ -31,6 +31,7 @@
 #include "src/search/algorithms.hpp"
 #include "src/search/search.hpp"
 #include "src/service/client.hpp"
+#include "src/service/flight_recorder.hpp"
 #include "src/service/server.hpp"
 #include "src/service/service.hpp"
 #include "src/service/wire.hpp"
@@ -1048,6 +1049,44 @@ TEST(Service, TraceRecordsFinishedTimelineAndPersistsSpans) {
       handle_json(service, "{\"op\":\"trace\",\"job\":777}");
   EXPECT_EQ(missing.str_or("type", ""), "error");
   EXPECT_EQ(missing.str_or("code", ""), "not_found");
+}
+
+TEST(FlightRecorder, CheckpointMarkersNeverEvictLifecycleSpans) {
+  double now = 0;
+  FlightRecorder recorder({.clock_ms = [&now] { return now; }});
+  recorder.transition(1, "submitted", -1);
+  now += 1;
+  recorder.transition(1, "queued", -1);
+  now += 2;
+  recorder.transition(1, "admitted", -1);
+  now += 3;
+  recorder.transition(1, "running", 0);
+  for (int i = 0; i < 200; ++i) {
+    now += 1;
+    recorder.instant(1, "checkpointed");
+  }
+  now += 5;
+  recorder.terminal(1, "finished");
+
+  const JsonValue spans = parse_json(recorder.spans_array_json(1));
+  std::vector<std::string> lifecycle;
+  std::size_t instants = 0;
+  for (const JsonValue& span : spans.array) {
+    if (span.bool_or("instant", false)) {
+      ++instants;
+      continue;
+    }
+    lifecycle.push_back(span.str_or("name", ""));
+    if (span.str_or("name", "") == "running") {
+      EXPECT_EQ(span.num_or("end_ms", -1) - span.num_or("start_ms", -1),
+                205.0);
+    }
+  }
+  EXPECT_EQ(lifecycle, (std::vector<std::string>{"submitted", "queued",
+                                                 "admitted", "running",
+                                                 "finished"}));
+  EXPECT_EQ(spans.array.size(), FlightRecorderOptions{}.max_spans_per_job);
+  EXPECT_EQ(recorder.dropped_for(1), 200 - instants);
 }
 
 TEST(Service, TraceRecordsCancelledAndExpiredTimelines) {
