@@ -135,8 +135,9 @@ void BM_JournalEmitCandidate(benchmark::State& state) {
   Journal journal;
   std::uint64_t seq = 0;
   for (auto _ : state) {
+    ++seq;
     journal.event("candidate")
-        .integer("seq", static_cast<long long>(++seq))
+        .integer("seq", static_cast<long long>(seq))
         .str("status", "evaluated")
         .num("mean", 0.0525)
         .num("clock", static_cast<double>(seq) * 0.1)
@@ -151,7 +152,7 @@ BENCHMARK(BM_JournalEmitCandidate);
 // bounds how many candidates a search can afford. The CI perf-smoke job
 // runs these with
 //
-//   bench_micro "--benchmark_filter=SimThroughput|SimRepeats" \
+//   bench_micro "--benchmark_filter=SimThroughput|SimRepeats"
 //               --benchmark_out=BENCH_sim.json --benchmark_out_format=json
 //
 // and fails on a >1.3x regression of any entry versus the committed baseline

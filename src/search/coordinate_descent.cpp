@@ -3,20 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdio>
 #include <functional>
-#include <limits>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/io/text_io.hpp"
 #include "src/report/journal.hpp"
-#include "src/support/durable.hpp"
 #include "src/support/error.hpp"
 #include "src/support/json.hpp"
-#include "src/support/line_reader.hpp"
 #include "src/support/metrics.hpp"
 
 namespace automap {
@@ -490,80 +484,6 @@ void optimize_task(TaskId t, Mapping& f, double& p, Evaluator& eval,
   }
 }
 
-/// A parsed CCD/CD checkpoint: where the killed search stood. Checkpoints
-/// are *pre-finalize* states an uninterrupted run passes through, so a
-/// resumed SearchResult is bit-identical to it (wall_time_s excepted).
-struct ResumePoint {
-  int rotation = 0;
-  std::size_t position = 0;  // index into `order`; 0 = rotation start
-  double best_before = std::numeric_limits<double>::infinity();
-  double incumbent_mean = std::numeric_limits<double>::infinity();
-  std::vector<TaskId> order;  // the rotation's coordinate order, mid-rotation
-};
-
-/// Durably publishes a checkpoint (layout: docs/file_formats.md).
-/// save_checksummed gives write-temp + fsync + rename + dir fsync and the
-/// checksum trailer that tells a torn checkpoint from a complete one.
-void write_checkpoint(const std::string& path, const char* algorithm,
-                      int rotation, std::size_t position, double best_before,
-                      double incumbent_mean,
-                      const std::vector<TaskId>& order, const Mapping& f,
-                      const Evaluator& eval) {
-  std::ostringstream os;
-  os.precision(17);
-  os << "automap-checkpoint 1\n";
-  os << "algorithm " << algorithm << "\n";
-  os << "rotation " << rotation << "\n";
-  os << "position " << position << "\n";
-  os << "best_before " << best_before << "\n";
-  os << "incumbent_mean " << incumbent_mean << "\n";
-  os << "order " << (position > 0 ? order.size() : 0);
-  if (position > 0)
-    for (const TaskId t : order) os << " " << t.index();
-  os << "\n";
-  os << f.serialize();
-  os << eval.serialize_state();
-  save_checksummed(path, os.str(), "checkpoint");
-}
-
-/// Parses a checkpoint produced by write_checkpoint: the cursor, the
-/// incumbent mapping (into `f`) and the evaluator state (into `eval`).
-/// `rotations`, the search's rotation count, bounds the cursor.
-ResumePoint parse_checkpoint(const std::string& text, const char* algorithm,
-                             int rotations, const TaskGraph& graph, Mapping& f,
-                             Evaluator& eval) {
-  LineReader reader(text);
-  return reader.at_line([&] {
-    const std::size_t tasks = graph.num_tasks();
-    reader.next_line("automap-checkpoint 1");
-    reader.next_line("algorithm <name>");
-    if (reader[1] != algorithm)
-      throw Error("checkpoint was written by " + std::string(reader[1]) +
-                  ", cannot resume as " + algorithm);
-    ResumePoint rp;
-    reader.next_line("rotation <r>");
-    rp.rotation = to_int(reader[1], 0, rotations, "rotation");
-    reader.next_line("position <p>");
-    rp.position = to_int(reader[1], std::size_t{0}, tasks, "position");
-    reader.next_line("best_before <seconds>");
-    rp.best_before = to_double_or_inf(reader[1], "best_before");
-    reader.next_line("incumbent_mean <seconds>");
-    rp.incumbent_mean = to_double_or_inf(reader[1], "incumbent_mean");
-    reader.next_line("order <count>", /*more=*/true);
-    const std::size_t count = to_int(reader[1], std::size_t{0}, tasks, "order");
-    if (reader.size() != 2 + count)
-      throw Error("order: the count must match the task ids that follow");
-    if (rp.position > count)
-      throw Error("order: shorter than the checkpoint's position");
-    for (std::size_t i = 0; i < count; ++i)
-      rp.order.push_back(
-          TaskId(to_int(reader[2 + i], std::size_t{0}, tasks - 1, "order")));
-    f = Mapping::read(reader, graph);
-    eval.restore_state(reader);
-    return rp;
-  });
-}
-
 SearchResult run_coordinate_descent(const Simulator& sim,
                                     const SearchOptions& options,
                                     bool constrained,
@@ -583,26 +503,16 @@ SearchResult run_coordinate_descent(const Simulator& sim,
                                    "Coordinate moves rejected");
     ins.rotations =
         m.counter("automap_rotations_total", "CCD/CD rotations completed");
-    ins.checkpoints =
-        m.counter("automap_checkpoints_total", "Checkpoint files written");
+    ins.checkpoints = m.counter("automap_checkpoints_total",
+                                "Checkpoints reached, written or replayed");
     ins.edges_active = m.gauge("automap_constraint_edges_active",
                                "Active co-location constraint edges");
   }
 
   Mapping f = start != nullptr ? *start
                                : search_starting_point(graph, machine);
-
-  // Resume: restore the evaluator and the rotation cursor from a
-  // checkpoint instead of starting fresh. The initial incumbent evaluation
-  // is already inside the restored state, so it is skipped.
-  const bool resuming = !options.resume_state.empty();
-  ResumePoint rp;
-  if (resuming) {
-    rp = parse_checkpoint(options.resume_state, algorithm,
-                          constrained ? options.rotations : 1, graph, f, eval);
-  }
-  eval.journal_search_begin(algorithm, f, /*custom_start=*/start != nullptr);
-  double p = resuming ? rp.incumbent_mean : eval.evaluate(f);
+  eval.begin_search(algorithm, f, /*custom_start=*/start != nullptr);
+  double p = eval.evaluate(f);
 
   // The overlap graph C, including same-collection coupling edges (a == b)
   // for collections used by more than one task.
@@ -648,73 +558,20 @@ SearchResult run_coordinate_descent(const Simulator& sim,
   const int rotations = constrained ? options.rotations : 1;
   Rng profile_rng(mix64(options.seed) ^ 0x1b873593ULL);
 
-  // Relax the data-movement constraint: drop 1/(N-1) of the lightest
-  // edges per rotation so the final rotation runs unconstrained. Resume
-  // replay passes quiet=true: the dropped journal events were already
-  // written by the run that produced the checkpoint.
-  const auto drop_edges = [&](bool quiet) {
-    if (!constrained || rotations <= 1) return;
-    const std::size_t drop =
-        (original_edges + static_cast<std::size_t>(rotations) - 2) /
-        static_cast<std::size_t>(rotations - 1);
-    const std::size_t keep = edges.size() > drop ? edges.size() - drop : 0;
-    const std::size_t dropped = edges.size() - keep;
-    edges.resize(keep);
-    if (quiet) return;
-    if (ins.edges_active != nullptr) {
-      ins.edges_active->set(static_cast<double>(edges.size()));
-    }
-    if (ins.journal != nullptr && dropped > 0) {
-      ins.journal->event("edges_pruned")
-          .integer("dropped", static_cast<long long>(dropped))
-          .integer("remaining", static_cast<long long>(edges.size()));
-    }
+  // Counts a checkpoint point (the evaluator writes and journals it).
+  const auto checkpoint = [&](int rotation, std::size_t position) {
+    if (eval.checkpoint(rotation, position) && ins.checkpoints != nullptr)
+      ins.checkpoints->inc();
   };
 
-  // Resume replay: each completed rotation consumed one profiling-seed
-  // draw and one edge-drop step; a mid-rotation checkpoint additionally
-  // burned the draw of the rotation in flight (its coordinate order is
-  // restored from the checkpoint instead of recomputed). Discarding the
-  // same draws keeps every later rotation's order identical to the
-  // uninterrupted run's.
-  const int start_rotation = resuming ? rp.rotation : 0;
-  if (resuming) {
-    const int draws = start_rotation + (rp.position > 0 ? 1 : 0);
-    for (int i = 0; i < draws; ++i) (void)profile_rng.next();
-    for (int i = 0; i < start_rotation; ++i) drop_edges(/*quiet=*/true);
-  }
-
-  // Writes the checkpoint that resumes at (rotation, position) unless the
-  // budget is exhausted, and reports it to the journal, the metrics and
-  // the on_checkpoint hook.
-  const auto checkpoint = [&](int rotation, std::size_t position,
-                              double best_before,
-                              const std::vector<TaskId>& order) {
-    if (options.checkpoint_path.empty() || eval.budget_exhausted()) return;
-    write_checkpoint(options.checkpoint_path, algorithm, rotation, position,
-                     best_before, p, order, f, eval);
-    if (ins.checkpoints != nullptr) ins.checkpoints->inc();
-    if (ins.journal != nullptr) {
-      ins.journal->event("checkpoint")
-          .integer("at_rotation", rotation)
-          .integer("at_position", static_cast<long long>(position));
-    }
-    if (options.on_checkpoint)
-      options.on_checkpoint(rotation, static_cast<int>(position));
-  };
-
-  for (int rotation = start_rotation; rotation < rotations; ++rotation) {
+  for (int rotation = 0; rotation < rotations; ++rotation) {
     if (eval.budget_exhausted()) break;
-    const bool mid_resume =
-        resuming && rotation == start_rotation && rp.position > 0;
-    const double best_before =
-        mid_resume ? rp.best_before : eval.view().best_seconds();
+    const double best_before = eval.view().best_seconds();
 
     const detail::OverlapMap overlap =
         detail::build_overlap_map(graph, edges, &frozen);
     const std::vector<TaskId> order =
-        mid_resume ? rp.order
-                   : detail::tasks_by_runtime(sim, f, profile_rng.next());
+        detail::tasks_by_runtime(sim, f, profile_rng.next());
 
     if (ins.journal != nullptr) {
       ins.journal->set_rotation(rotation);
@@ -735,8 +592,7 @@ SearchResult run_coordinate_descent(const Simulator& sim,
     const std::size_t failed_before =
         eval.view().stats().oom + eval.view().stats().quarantined;
 
-    for (std::size_t pos = mid_resume ? rp.position : 0; pos < order.size();
-         ++pos) {
+    for (std::size_t pos = 0; pos < order.size(); ++pos) {
       const TaskId t = order[pos];
       if (eval.budget_exhausted()) break;
       if (frozen.contains(t)) continue;  // §3.3 subset search
@@ -746,25 +602,37 @@ SearchResult run_coordinate_descent(const Simulator& sim,
       }
       optimize_task(t, f, p, eval, sim, constrained ? &overlap : nullptr,
                     options.search_distribution_strategies, &ins);
-      // Task-boundary checkpoint: every state written here is one the
-      // uninterrupted run passes through, so a kill at any moment resumes
-      // onto the same trajectory. A budget-cut optimize_task folds only a
-      // prefix of its batch — a state no uninterrupted run visits — so the
-      // write is skipped once the budget is exhausted.
-      checkpoint(rotation, pos + 1, best_before, order);
+      // Task-boundary checkpoint, skipped once the budget is exhausted: a
+      // budget-cut optimize_task folds only a prefix of its batch, and a
+      // transcript may end only between batches.
+      checkpoint(rotation, pos + 1);
     }
     if (ins.journal != nullptr) ins.journal->clear_coordinate();
     eval.note_rotation(rotation, best_before);
     if (ins.rotations != nullptr) ins.rotations->inc();
 
-    drop_edges(/*quiet=*/false);
+    // Relax the data-movement constraint: drop 1/(N-1) of the lightest
+    // edges per rotation so the final rotation runs unconstrained.
+    if (constrained && rotations > 1) {
+      const std::size_t drop =
+          (original_edges + static_cast<std::size_t>(rotations) - 2) /
+          static_cast<std::size_t>(rotations - 1);
+      const std::size_t keep = edges.size() > drop ? edges.size() - drop : 0;
+      const std::size_t dropped = edges.size() - keep;
+      edges.resize(keep);
+      if (ins.edges_active != nullptr) {
+        ins.edges_active->set(static_cast<double>(edges.size()));
+      }
+      if (ins.journal != nullptr && dropped > 0) {
+        ins.journal->event("edges_pruned")
+            .integer("dropped", static_cast<long long>(dropped))
+            .integer("remaining", static_cast<long long>(edges.size()));
+      }
+    }
 
-    // Skip the rotation-boundary checkpoint when the budget cut the
-    // rotation short: the boundary state would record note_rotation over an
-    // incomplete rotation, which an uninterrupted (larger-budget) run never
-    // passes through. The last task-boundary checkpoint stays on disk and
-    // resumes onto the true trajectory instead.
-    checkpoint(rotation + 1, 0, best_before, order);
+    // Rotation-boundary checkpoint, skipped like the task-boundary one when
+    // the budget cut the rotation short.
+    checkpoint(rotation + 1, 0);
 
     // Graceful-degradation circuit breaker (fault injection only): when
     // every candidate executed this rotation failed (OOM or quarantined),

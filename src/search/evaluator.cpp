@@ -1,6 +1,7 @@
 #include "src/search/evaluator.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -9,6 +10,7 @@
 #include <unordered_map>
 
 #include "src/report/journal.hpp"
+#include "src/support/durable.hpp"
 #include "src/support/error.hpp"
 #include "src/support/json.hpp"
 #include "src/support/line_reader.hpp"
@@ -19,6 +21,7 @@ namespace automap {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr int kMaxInt = std::numeric_limits<int>::max();
 // Domain-separation salts: search-time evaluation runs and finalist-protocol
 // reruns of the same mapping must see independent noise streams.
 constexpr std::uint64_t kEvalSalt = 0x5bf03635f0a5a1edULL;
@@ -36,6 +39,12 @@ constexpr const char* kCandidateMetricHelp[] = {
     nullptr,
     "Candidates quarantined by the resilience policy"};
 static_assert(std::size(kCandidateMetricHelp) == std::size(kSearchCounters));
+
+/// Appends `value` in its shortest exact form ("inf" when infinite).
+void append_number(std::string& out, double value) {
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
 }  // namespace
 
 Evaluator::Evaluator(const Simulator& sim, const SearchOptions& options)
@@ -318,43 +327,41 @@ std::string Evaluator::export_profiles() const {
 
 void Evaluator::import_profiles(const std::string& text) {
   LineReader reader(text);
-  reader.at_line([&] { import_profiles_impl(reader); });
-}
-
-void Evaluator::import_profiles_impl(LineReader& reader) {
-  reader.next_line("profiles <count>");
-  const std::size_t count = to_int<std::size_t>(reader[1], "profiles");
-  const TaskGraph& graph = sim_.graph();
-  for (std::size_t i = 0; i < count; ++i) {
-    // After the mean the line may carry an optional marker: "censored"
-    // (the stored value is a bound the true mean exceeds) or "quarantined"
-    // (the candidate failed its whole retry budget and is cached as
-    // permanently failed).
-    reader.next_line("entry <mean>", /*more=*/true);
-    EntryState state = EntryState::kExact;
-    if (reader.size() == 3 && reader[2] == "censored") {
-      state = EntryState::kCensored;
-    } else if (reader.size() == 3 && reader[2] == "quarantined") {
-      state = EntryState::kQuarantined;
-    } else if (reader.size() != 2) {
-      throw Error("expected: entry <mean> [censored|quarantined]");
+  reader.at_line([&] {
+    reader.next_line("profiles <count>");
+    const std::size_t count = to_int<std::size_t>(reader[1], "profiles");
+    const TaskGraph& graph = sim_.graph();
+    for (std::size_t i = 0; i < count; ++i) {
+      // After the mean the line may carry an optional marker: "censored"
+      // (the stored value is a bound the true mean exceeds) or "quarantined"
+      // (the candidate failed its whole retry budget and is cached as
+      // permanently failed).
+      reader.next_line("entry <mean>", /*more=*/true);
+      EntryState state = EntryState::kExact;
+      if (reader.size() == 3 && reader[2] == "censored") {
+        state = EntryState::kCensored;
+      } else if (reader.size() == 3 && reader[2] == "quarantined") {
+        state = EntryState::kQuarantined;
+      } else if (reader.size() != 2) {
+        throw Error("expected: entry <mean> [censored|quarantined]");
+      }
+      const double mean = to_double_or_inf(reader[1], "mean");
+      Mapping mapping = Mapping::read(reader, graph);
+      const std::uint64_t key = mapping.hash();
+      if (mean < kInf && state == EntryState::kExact) {
+        // insert_top dedupes by hash, so importing the same database twice
+        // (or re-importing after a search) does not stack duplicate
+        // finalists. Censored entries stay out of the finalist list and the
+        // incumbent — their stored value is a bound, not a mean.
+        insert_top(key, mapping, mean);
+        best_seconds_ = std::min(best_seconds_, mean);
+      }
+      profiles_.insert_or_assign(key,
+                                 Entry{key, std::move(mapping), mean, state});
     }
-    const double mean = to_double_or_inf(reader[1], "mean");
-    Mapping mapping = Mapping::read(reader, graph);
-    const std::uint64_t key = mapping.hash();
-    if (mean < kInf && state == EntryState::kExact) {
-      // insert_top dedupes by hash, so importing the same database twice
-      // (or re-importing after a search) does not stack duplicate
-      // finalists. Censored entries stay out of the finalist list and the
-      // incumbent — their stored value is a bound, not a mean.
-      insert_top(key, mapping, mean);
-      best_seconds_ = std::min(best_seconds_, mean);
-    }
-    profiles_.insert_or_assign(key,
-                               Entry{key, std::move(mapping), mean, state});
-  }
-  if (reader.next())
-    throw Error("more entries than the 'profiles' header promises");
+    if (reader.next())
+      throw Error("more entries than the 'profiles' header promises");
+  });
 }
 
 void Evaluator::insert_top(std::uint64_t key, const Mapping& mapping,
@@ -425,6 +432,7 @@ std::size_t Evaluator::evaluate_batch(
     std::span<const Mapping> mappings,
     const std::function<bool(std::size_t, double)>& consume,
     double interest_bound_s) {
+  if (replayed_ < replay_.size()) return replay_batch(mappings, consume);
   // Censor threshold, fixed once at submission so it cannot depend on fold
   // order or thread count: a candidate is only worth resolving exactly if
   // its mean could still beat the caller's interest bound *or* displace the
@@ -522,6 +530,7 @@ std::size_t Evaluator::evaluate_batch(
   // plan's shape, not on a fresh cache probe: an execute plan may exist
   // precisely because the cached entry was censored too tightly, and must
   // overwrite it rather than read it back.
+  const bool transcribe = !options_.checkpoint_path.empty();
   std::size_t folded = 0;
   for (std::size_t j = 0; j < mappings.size(); ++j) {
     if (j > 0 && budget_exhausted()) break;
@@ -530,13 +539,15 @@ std::size_t Evaluator::evaluate_batch(
 
     double mean = kInf;
     Verdict verdict = plan.shape;
+    Charge charge;
     if (verdict == Verdict::kEvaluated) {
       CandOutcome out = outcomes.empty()
                             ? run(plan.outcome, scratches_[0])
                             : std::move(outcomes[plan.outcome]);
       // The fold-side charge is shared by the serial and batched paths,
       // preserving thread-count invariance.
-      add_charge(out.charge);
+      charge = out.charge;
+      add_charge(charge);
       verdict = out.verdict;
       if (verdict == Verdict::kCensored) {
         // Fold to exactly the threshold (not budget/repeats, whose
@@ -555,6 +566,7 @@ std::size_t Evaluator::evaluate_batch(
                "deferred batch member lost its profiles entry");
       mean = it->second.mean_seconds;
     }
+    if (transcribe) append_fold({plan.key, verdict, mean, charge});
     record(verdict, plan.key, mapping, mean);
     ++folded;
     if (!consume(j, mean)) break;
@@ -562,26 +574,50 @@ std::size_t Evaluator::evaluate_batch(
   return folded;
 }
 
+std::size_t Evaluator::replay_batch(
+    std::span<const Mapping> mappings,
+    const std::function<bool(std::size_t, double)>& consume) {
+  std::size_t folded = 0;
+  for (std::size_t j = 0; j < mappings.size(); ++j) {
+    if (j > 0 && budget_exhausted()) break;
+    if (replayed_ == replay_.size())
+      throw Error("checkpoint ends inside a batch after fold " +
+                  std::to_string(replayed_) +
+                  "; checkpoints are written only between batches");
+    const Fold& fold = replay_[replayed_++];
+    const std::uint64_t key = mappings[j].hash();
+    if (fold.key != key)
+      throw Error("checkpoint fold " + std::to_string(replayed_) +
+                  " records candidate " + hex_u64(fold.key) +
+                  ", but the resumed search proposed " + hex_u64(key));
+    add_charge(fold.charge);
+    record(fold.verdict, key, mappings[j], fold.mean);
+    ++folded;
+    if (!consume(j, fold.mean)) break;
+  }
+  return folded;
+}
+
+void Evaluator::append_fold(const Fold& fold) {
+  const VerdictRow& row = kVerdictRows[static_cast<std::size_t>(fold.verdict)];
+  transcript_ += "fold ";
+  transcript_ += hex_u64(fold.key);
+  transcript_ += ' ';
+  transcript_ += row.status;
+  transcript_ += ' ';
+  append_number(transcript_, fold.mean);
+  if (row.executed) {
+    transcript_ += ' ';
+    append_number(transcript_, fold.charge.seconds);
+    transcript_ += ' ' + std::to_string(fold.charge.transient_failures) + ' ' +
+                   std::to_string(fold.charge.retries);
+  }
+  transcript_ += '\n';
+}
+
 void Evaluator::record(Verdict verdict, std::uint64_t key,
                        const Mapping& mapping, double mean) {
-  // Per verdict: its journal status, whether it executed (bumping
-  // `evaluated`), the counter it bumps besides those two and `suggested`,
-  // and the state of the profiles entry it stores.
-  static constexpr struct {
-    const char* status;
-    bool executed;
-    std::size_t SearchStats::*counter;
-    EntryState state;
-  } kRows[] = {
-      {"evaluated", true, nullptr, EntryState::kExact},
-      {"cached", false, &SearchStats::cache_hits, EntryState::kExact},
-      {"invalid", false, &SearchStats::invalid, EntryState::kExact},
-      {"oom", true, &SearchStats::oom, EntryState::kExact},
-      {"censored", true, &SearchStats::censored, EntryState::kCensored},
-      {"quarantined", true, &SearchStats::quarantined,
-       EntryState::kQuarantined},
-  };
-  const auto& row = kRows[static_cast<std::size_t>(verdict)];
+  const VerdictRow& row = kVerdictRows[static_cast<std::size_t>(verdict)];
   for (std::size_t i = 0; i < std::size(kSearchCounters); ++i) {
     const auto field = kSearchCounters[i].field;
     if (field == &SearchStats::suggested || field == row.counter ||
@@ -644,9 +680,36 @@ void Evaluator::journal_metrics_snapshot(bool force) {
       .raw("values", metrics_->snapshot_json());
 }
 
-void Evaluator::journal_search_begin(std::string_view label,
-                                     const Mapping& start,
-                                     bool custom_start) {
+void Evaluator::begin_search(std::string_view label, const Mapping& start,
+                             bool custom_start) {
+  const bool resuming = !options_.resume_state.empty();
+  if (resuming || !options_.checkpoint_path.empty()) {
+    // The budget only decides where the fold sequence stops, pruning only
+    // how much simulation a verdict costs, and a profiles seed only adds
+    // cache entries, so none of them is part of the identity.
+    SearchOptions o = options_;
+    o.time_budget_s = kInf;
+    o.prune_candidates = true;
+    identity_ = fnv1a64(std::string(label) + "\n" +
+                        search_options_to_json(o) + "\n" +
+                        sim_options_to_json(sim_.options()) + "\n" +
+                        start.serialize());
+  }
+  if (resuming) {
+    LineReader reader(options_.resume_state);
+    reader.at_line([&] {
+      reader.next_line("automap-checkpoint <version>");
+      if (reader[1] != "2")
+        throw Error("checkpoint format " + std::string(reader[1]) +
+                    " is not supported (this build reads format 2)");
+      reader.next_line("search <identity>");
+      if (reader[1] != hex_u64(identity_))
+        throw Error("checkpoint was written by a different search (" +
+                    std::string(reader[1]) + ", this search is " +
+                    hex_u64(identity_) + ")");
+      read_folds(reader);
+    });
+  }
   if (!journal_) return;
   // Everything that determines the deterministic outcome is recorded via
   // the canonical codec — the same encoding the CLI's --options file and
@@ -661,6 +724,25 @@ void Evaluator::journal_search_begin(std::string_view label,
       .boolean("custom_start", custom_start)
       .boolean("resumed", !options_.resume_state.empty())
       .boolean("seeded_profiles", !options_.profiles_seed.empty());
+}
+
+bool Evaluator::checkpoint(int rotation, std::size_t position) {
+  if (options_.checkpoint_path.empty() || budget_exhausted()) return false;
+  // A point still being replayed was written by the interrupted run.
+  const bool write = replayed_ == replay_.size();
+  if (write)
+    save_checksummed(options_.checkpoint_path,
+                     "automap-checkpoint 2\nsearch " + hex_u64(identity_) +
+                         "\n" + transcript_,
+                     "checkpoint");
+  if (journal_) {
+    journal_->event("checkpoint")
+        .integer("at_rotation", rotation)
+        .integer("at_position", static_cast<long long>(position));
+  }
+  if (write && options_.on_checkpoint)
+    options_.on_checkpoint(rotation, static_cast<int>(position));
+  return true;
 }
 
 void Evaluator::charge_overhead(double seconds) {
@@ -706,102 +788,47 @@ void Evaluator::mark_degraded() {
   if (journal_) journal_->event("degraded");
 }
 
-std::string Evaluator::serialize_state() const {
-  // Layout: docs/file_formats.md ("Checkpoint and evaluator state"). All
-  // doubles at precision 17, so a restored state reproduces the original
-  // bit for bit; wall_time_s is real time and deliberately not stored.
-  std::ostringstream os;
-  os.precision(17);
-  os << "evaluator-state 1\n";
-  os << "best_seconds " << best_seconds_ << "\n";
-  os << "counters";
-  for (const SearchCounter& c : kSearchCounters) os << " " << stats_.*c.field;
-  os << " " << (stats_.degraded ? 1 : 0) << "\n";
-  os << "clocks " << stats_.search_time_s << " " << stats_.evaluation_time_s
-     << "\n";
-  os << "rotations " << stats_.rotations.size() << "\n";
-  for (const RotationTelemetry& rt : stats_.rotations)
-    os << "rotation " << rt.rotation << " " << rt.best_before_s << " "
-       << rt.best_after_s << " " << rt.evaluated << " " << rt.search_time_s
-       << "\n";
-  os << "trajectory " << trajectory_.size() << "\n";
-  for (const TrajectoryPoint& p : trajectory_)
-    os << "point " << p.search_time_s << " " << p.best_exec_s << "\n";
-  // The top-k list is serialized in its exact order: re-deriving it from
-  // the profiles database could break mean ties in a different order than
-  // the original chronological insertions, and finalize() resolves ties by
-  // position.
-  os << "top " << top_.size() << "\n";
-  for (const Entry& e : top_)
-    os << "finalist " << e.mean_seconds << "\n" << e.mapping.serialize();
-  os << export_profiles();
-  return os.str();
-}
-
 void Evaluator::restore_state(const std::string& text) {
   LineReader reader(text);
-  reader.at_line([&] { restore_state(reader); });
+  reader.at_line([&] { read_folds(reader); });
 }
 
-void Evaluator::restore_state(LineReader& reader) {
-  AM_REQUIRE(profiles_.empty() && top_.empty() && stats_.suggested == 0,
-             "restore_state requires a freshly constructed evaluator");
-  // Every double of the state may be inf: before the first success the
-  // incumbent and the rotation bounds are infinite.
-  reader.next_line("evaluator-state 1");
-  reader.next_line("best_seconds <seconds>");
-  const double best_seconds = to_double_or_inf(reader[1], "best_seconds");
-  static const std::string counters_usage = [] {
-    std::string usage = "counters";
-    for (const SearchCounter& c : kSearchCounters)
-      usage += std::string(" <") + c.name + ">";
-    return usage + " <degraded>";
-  }();
-  reader.next_line(counters_usage);
-  std::size_t token = 1;
-  for (const SearchCounter& c : kSearchCounters)
-    stats_.*c.field = to_int<std::size_t>(reader[token++], "counters");
-  stats_.degraded = to_int(reader[token], 0, 1, "degraded") == 1;
-  reader.next_line("clocks <search_time_s> <evaluation_time_s>");
-  stats_.search_time_s = to_double_or_inf(reader[1], "search_time_s");
-  stats_.evaluation_time_s = to_double_or_inf(reader[2], "evaluation_time_s");
-  // Each section's header count must match its records: reading one
-  // record too many or too few lands on the wrong tag.
-  reader.next_line("rotations <count>");
-  for (std::size_t i = 0, n = to_int<std::size_t>(reader[1], "rotations");
-       i < n; ++i) {
-    reader.next_line("rotation <r> <before> <after> <evaluated> <time>");
-    stats_.rotations.push_back(
-        {.rotation = to_int<int>(reader[1], "rotation"),
-         .best_before_s = to_double_or_inf(reader[2], "before"),
-         .best_after_s = to_double_or_inf(reader[3], "after"),
-         .evaluated = to_int<std::size_t>(reader[4], "evaluated"),
-         .search_time_s = to_double_or_inf(reader[5], "time")});
+void Evaluator::read_folds(LineReader& reader) {
+  while (reader.next()) {
+    reader.expect_line("fold <hash> <status> <mean>", /*more=*/true);
+    const auto row = std::find_if(
+        std::begin(kVerdictRows), std::end(kVerdictRows),
+        [&](const VerdictRow& r) { return reader[2] == r.status; });
+    if (row == std::end(kVerdictRows))
+      throw Error("unknown fold status '" + std::string(reader[2]) + "'");
+    if (row->executed) {
+      reader.expect_line(
+          "fold <hash> <status> <mean> <charge_s> <transient_failures> "
+          "<retries>");
+    } else {
+      reader.expect_line("fold <hash> <status> <mean>");
+    }
+    const std::optional<std::uint64_t> key = parse_int<std::uint64_t>(
+        reader[1], 0, std::numeric_limits<std::uint64_t>::max(), 16);
+    if (!key)
+      throw Error("hash: expected a hexadecimal integer, got '" +
+                  std::string(reader[1]) + "'");
+    Fold fold{.key = *key,
+              .verdict = static_cast<Verdict>(row - std::begin(kVerdictRows)),
+              .mean = to_double_or_inf(reader[3], "mean")};
+    if (row->executed) {
+      fold.charge = {
+          .seconds = to_double(reader[4], "charge_s"),
+          .transient_failures = to_int(reader[5], 0, kMaxInt,
+                                       "transient_failures"),
+          .retries = to_int(reader[6], 0, kMaxInt, "retries")};
+      if (fold.charge.seconds < 0.0)
+        throw Error("charge_s: expected a number >= 0, got '" +
+                    std::string(reader[4]) + "'");
+    }
+    replay_.push_back(fold);
+    append_fold(fold);
   }
-  reader.next_line("trajectory <count>");
-  for (std::size_t i = 0, n = to_int<std::size_t>(reader[1], "trajectory");
-       i < n; ++i) {
-    reader.next_line("point <time> <value>");
-    trajectory_.push_back({to_double_or_inf(reader[1], "time"),
-                           to_double_or_inf(reader[2], "value")});
-  }
-  reader.next_line("top <count>");
-  std::vector<Entry> top;
-  for (std::size_t i = 0, n = to_int<std::size_t>(reader[1], "top");
-       i < n; ++i) {
-    reader.next_line("finalist <mean>");
-    const double mean = to_double_or_inf(reader[1], "mean");
-    Mapping mapping = Mapping::read(reader, sim_.graph());
-    const std::uint64_t key = mapping.hash();
-    top.push_back(Entry{key, std::move(mapping), mean});
-  }
-  // The profiles section is a verbatim database export. Importing it
-  // rebuilds a top-k list and incumbent, which the sections above replace:
-  // re-deriving the list could break mean ties in a different order than
-  // the original chronological insertions.
-  import_profiles_impl(reader);
-  top_ = std::move(top);
-  best_seconds_ = best_seconds;
 }
 
 const Mapping& EvaluatorView::best() const {
@@ -834,6 +861,10 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
     if (journal_) journal_->flush();
     return result;
   }
+  if (replayed_ < replay_.size())
+    throw Error("checkpoint holds " +
+                std::to_string(replay_.size() - replayed_) +
+                " folds the resumed search never reached");
 
   // All (finalist, repeat) reruns are independent under derived seeds, so
   // they fan out across the pool as one batch and fold back in top-k order.

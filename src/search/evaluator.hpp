@@ -40,6 +40,15 @@
 // past it — so results stay bit-identical with pruning on or off, at any
 // thread count. The search clock is charged the simulated seconds actually
 // consumed up to the line (the cost a real bounded deployment would pay).
+//
+// Checkpoints (SearchOptions::checkpoint_path) are a fold transcript: one
+// line per folded proposal with its hash, verdict, mean and clock charge.
+// Given those, a search is deterministic, so resume (resume_state) reruns
+// the algorithm from its start and each replayed batch takes its folds
+// from the transcript instead of executing; after the last line the
+// search continues live. Replay goes through record(), so the resumed
+// statistics, profiles database and journal are those of an uninterrupted
+// run.
 
 #include <chrono>
 #include <cstdint>
@@ -98,7 +107,9 @@ class Evaluator {
   /// false stops the batch and discards the unfolded tail entirely (no
   /// statistics, cache or clock effects), which lets greedy-sequential
   /// searches speculate over candidates whose construction depends on
-  /// earlier outcomes. Returns the number of candidates folded.
+  /// earlier outcomes. Returns the number of candidates folded. While
+  /// folds read by restore_state remain, the batch replays them instead
+  /// (replay_batch).
   std::size_t evaluate_batch(
       std::span<const Mapping> mappings,
       const std::function<bool(std::size_t, double)>& consume,
@@ -133,7 +144,9 @@ class Evaluator {
 
   /// The finalist protocol (§5): re-runs the top-k mappings
   /// `final_repeats` times each (fanned across the pool) and returns the
-  /// fastest, charging the reruns to the search clock.
+  /// fastest, charging the reruns to the search clock. Throws Error when
+  /// folds read by restore_state were never replayed (a cancelled search
+  /// returns its partial result instead).
   [[nodiscard]] SearchResult finalize(std::string algorithm_name);
 
   /// Read-only accessors (best/stats/trajectory/profiles export) live on
@@ -157,33 +170,39 @@ class Evaluator {
   /// returning the best-known incumbent instead of throwing.
   void mark_degraded();
 
-  /// Emits the journal's `search_begin` record for this search: the
-  /// algorithm label, the full (options, simulator) configuration that
-  /// determines the deterministic outcome — everything except the thread
-  /// count, which by contract changes nothing — and the serialized starting
-  /// mapping. Algorithms call this once before their first proposal; no-op
-  /// when no journal is configured.
-  void journal_search_begin(std::string_view label, const Mapping& start,
-                            bool custom_start = false);
+  /// Starts the search; algorithms call this once before their first
+  /// proposal. Derives the search identity a checkpoint records from the
+  /// label, the options, the simulator options and the starting mapping.
+  /// When resuming, checks the checkpoint against that identity (throws
+  /// Error for a checkpoint of another search or format) and arms its
+  /// transcript for replay. Emits the journal's `search_begin` record: the
+  /// label, the full (options, simulator) configuration that determines
+  /// the deterministic outcome — everything except the thread count, which
+  /// by contract changes nothing — and the serialized starting mapping.
+  void begin_search(std::string_view label, const Mapping& start,
+                    bool custom_start = false);
+
+  /// A checkpoint point of the algorithm, between two batches: with a
+  /// checkpoint_path and budget left, durably writes the transcript so far
+  /// (unless the point is still being replayed, when the file already holds
+  /// it), journals a `checkpoint` event and calls on_checkpoint after a
+  /// write. Returns whether the point counted, i.e. whether the journal
+  /// event was emitted.
+  bool checkpoint(int rotation, std::size_t position);
 
   /// The journal configured in SearchOptions (null when disabled) — the
   /// algorithms emit their own structural events (moves, constraint edges,
   /// rotations) through this.
   [[nodiscard]] Journal* journal() const { return journal_; }
 
-  /// Serializes the evaluator's full mutable state — counters, clock,
-  /// trajectory, top-k list, profiles database — for the checkpoint file.
-  /// Deterministic (entries sorted by structural hash), so a resumed search
-  /// exports a byte-identical profiles database.
-  [[nodiscard]] std::string serialize_state() const;
-  /// Restores state serialized by serialize_state. Must be called on a
-  /// freshly constructed evaluator (before any proposal); throws Error on
-  /// malformed text. The wall-clock anchor restarts at zero — wall_time_s
-  /// is explicitly excluded from determinism guarantees.
+  /// The fold transcript so far, one `fold` line per folded proposal (the
+  /// checkpoint without its header; docs/file_formats.md). Recorded only
+  /// with a checkpoint_path, and it includes lines read by restore_state.
+  [[nodiscard]] std::string serialize_state() const { return transcript_; }
+  /// Reads `fold` lines (serialize_state's output) for the following
+  /// batches to replay; call before the first proposal. Throws Error on
+  /// malformed text.
   void restore_state(const std::string& text);
-  /// Same, from the rest of `reader` (a checkpoint after its header and
-  /// mapping); the caller's at_line adds the line to errors.
-  void restore_state(LineReader& reader);
 
  private:
   friend class EvaluatorView;
@@ -209,8 +228,8 @@ class Evaluator {
     double mean_seconds;
     EntryState state = EntryState::kExact;
   };
-  /// Where one proposal's fold ends: its journal status, the counters it
-  /// bumps and the profiles entry it leaves (see record()).
+  /// Where one proposal's fold ends: its status, the counters it bumps and
+  /// the profiles entry it leaves (see kVerdictRows).
   enum class Verdict {
     kEvaluated, kCached, kInvalid, kOom, kCensored, kQuarantined
   };
@@ -221,6 +240,31 @@ class Evaluator {
     double seconds = 0.0;
     int transient_failures = 0;
     int retries = 0;
+  };
+  /// Per verdict: its journal and transcript status, whether it executed
+  /// (bumping `evaluated` and charging the clock), the counter it bumps
+  /// besides those two and `suggested`, and the state of the profiles
+  /// entry it stores.
+  static constexpr struct VerdictRow {
+    const char* status;
+    bool executed;
+    std::size_t SearchStats::*counter;
+    EntryState state;
+  } kVerdictRows[] = {
+      {"evaluated", true, nullptr, EntryState::kExact},
+      {"cached", false, &SearchStats::cache_hits, EntryState::kExact},
+      {"invalid", false, &SearchStats::invalid, EntryState::kExact},
+      {"oom", true, &SearchStats::oom, EntryState::kExact},
+      {"censored", true, &SearchStats::censored, EntryState::kCensored},
+      {"quarantined", true, &SearchStats::quarantined,
+       EntryState::kQuarantined},
+  };
+  /// One folded proposal, as a checkpoint transcript line records it.
+  struct Fold {
+    std::uint64_t key;
+    Verdict verdict;
+    double mean;
+    Charge charge;  // zero unless the verdict executed
   };
   /// Result of one candidate's budgeted run sequence.
   struct CandOutcome {
@@ -313,10 +357,18 @@ class Evaluator {
   /// Inserts into the top-k finalist list unless an entry with the same
   /// structural hash and mapping is already present (dedupe on import).
   void insert_top(std::uint64_t key, const Mapping& mapping, double mean);
-  /// Shared core of import_profiles and restore_state: parses a profiles
-  /// section that runs to the end of the text into the database, the
-  /// finalist list and the incumbent.
-  void import_profiles_impl(LineReader& reader);
+  /// Folds a batch from the armed transcript instead of executing it:
+  /// each member takes its verdict, mean and charge from the next fold
+  /// line, whose hash must match. Throws Error when the transcript ends
+  /// inside the batch (checkpoints fall only between batches).
+  std::size_t replay_batch(
+      std::span<const Mapping> mappings,
+      const std::function<bool(std::size_t, double)>& consume);
+  /// Appends `fold`'s transcript line.
+  void append_fold(const Fold& fold);
+  /// Reads the rest of `reader` as fold lines into the replay list and the
+  /// transcript.
+  void read_folds(LineReader& reader);
   /// Serializes the profiles database (every measured mapping with its
   /// mean) for reuse via SearchOptions::profiles_seed.
   [[nodiscard]] std::string export_profiles() const;
@@ -364,6 +416,14 @@ class Evaluator {
   Histogram* m_candidate_mean_ = nullptr;
   /// Folds since the last journal metrics snapshot (cadence counter).
   int folds_since_snapshot_ = 0;
+
+  /// Checkpoint identity of this search, set by begin_search.
+  std::uint64_t identity_ = 0;
+  /// Fold lines for the checkpoint file (see serialize_state).
+  std::string transcript_;
+  /// Folds read back by restore_state, and how many of them were replayed.
+  std::vector<Fold> replay_;
+  std::size_t replayed_ = 0;
 };
 
 /// Read-only window onto an Evaluator for reporting and analysis code: the

@@ -70,7 +70,7 @@ SearchResult run_random_search(const Simulator& sim,
   Evaluator eval(sim, options);
   Rng rng(mix64(options.seed) ^ 0x2545f4914f6cdd1dULL);
   const Mapping start = search_starting_point(sim.graph(), sim.machine());
-  eval.journal_search_begin("AM-Random", start);
+  eval.begin_search("AM-Random", start);
   (void)eval.evaluate(start);
   // Random search has no natural end; without a budget, sample as many
   // candidates as a five-rotation CCD would propose.
@@ -115,7 +115,7 @@ SearchResult run_simulated_annealing(const Simulator& sim,
   Rng rng(mix64(options.seed) ^ 0x94d049bb133111ebULL);
 
   Mapping current = search_starting_point(sim.graph(), sim.machine());
-  eval.journal_search_begin("AM-Anneal", current);
+  eval.begin_search("AM-Anneal", current);
   double current_cost = eval.evaluate(current);
   AM_CHECK(std::isfinite(current_cost), "starting point failed to execute");
 
@@ -186,7 +186,7 @@ SearchResult run_heft_static(const Simulator& sim,
                            {machine.best_memory_for(tm.proc)});
   }
 
-  eval.journal_search_begin("HEFT-static", mapping);
+  eval.begin_search("HEFT-static", mapping);
   (void)eval.evaluate(mapping);
   return eval.finalize("HEFT-static");
 }
@@ -195,15 +195,21 @@ SearchResult run_ccd_multistart(const Simulator& sim,
                                 const SearchOptions& options,
                                 int extra_starts) {
   AM_REQUIRE(extra_starts >= 0, "negative extra start count");
+  if (!options.resume_state.empty())
+    throw Error("multistart searches write no checkpoints and cannot resume "
+                "from one");
   Rng rng(mix64(options.seed) ^ 0xd6e8feb86659fd93ULL);
 
   // First pass from the §4.1 starting point; each further pass begins from
   // a random valid mapping and inherits the accumulated profiles database,
   // so re-proposed candidates are free and the finalist pool spans every
   // pass. The passes always export their database (that is the chaining
-  // mechanism), whatever the caller asked for the final result.
+  // mechanism), whatever the caller asked for the final result. They write
+  // no checkpoints: each would overwrite the one file with a transcript of
+  // its own pass.
   SearchOptions chained = options;
   chained.export_profiles_db = true;
+  chained.checkpoint_path.clear();
   SearchResult result = run_ccd(sim, chained);
   SearchStats combined = result.stats;
 
@@ -219,11 +225,21 @@ SearchResult run_ccd_multistart(const Simulator& sim,
     const Mapping start =
         random_valid_mapping(sim.graph(), sim.machine(), rng);
     result = run_ccd_from(sim, next, start);
+    // Rotation telemetry continues the numbering, the evaluated count and
+    // the clock of the passes before.
+    const int rotations_before = static_cast<int>(combined.rotations.size());
+    for (RotationTelemetry rt : result.stats.rotations) {
+      rt.rotation += rotations_before;
+      rt.evaluated += combined.evaluated;
+      rt.search_time_s += combined.search_time_s;
+      combined.rotations.push_back(rt);
+    }
     for (const SearchCounter& c : kSearchCounters)
       combined.*c.field += result.stats.*c.field;
     combined.degraded = combined.degraded || result.stats.degraded;
     combined.search_time_s += result.stats.search_time_s;
     combined.evaluation_time_s += result.stats.evaluation_time_s;
+    combined.wall_time_s += result.stats.wall_time_s;
   }
 
   result.algorithm = "AM-CCD-multistart";

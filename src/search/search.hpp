@@ -126,12 +126,16 @@ struct SearchOptions {
   bool export_profiles_db = true;
   /// Retry / quarantine / aggregation behaviour under fault injection.
   ResiliencePolicy resilience;
-  /// When non-empty, CCD/CD periodically serialize their search state
-  /// (incumbent, rotation position, profiles database) to this file —
-  /// atomically, so a kill mid-write leaves the previous checkpoint intact.
+  /// When non-empty, CCD/CD write the transcript of the search's folds
+  /// (each proposal's hash, verdict, mean and clock charge) to this file
+  /// at every task and rotation boundary — atomically, so a kill
+  /// mid-write leaves the previous checkpoint intact.
   std::string checkpoint_path;
-  /// Contents of a checkpoint file written via checkpoint_path; when
-  /// non-empty, CCD/CD resume from that state instead of starting fresh.
+  /// Contents of a checkpoint file written via checkpoint_path. When
+  /// non-empty, the search must be the one that wrote it (same algorithm
+  /// and outcome-deciding options; the budget, threads and pruning may
+  /// differ): it reruns from the start, replays the transcript's folds
+  /// instead of simulating them, and continues live after the last one.
   std::string resume_state;
   /// Provenance journal (src/report/journal.hpp). When set, the algorithms
   /// and the evaluator append typed JSONL events for every decision; the
@@ -302,8 +306,8 @@ struct SearchStats {
 };
 
 /// One SearchStats counter and its name. kSearchCounters lists all nine
-/// once: the checkpoint `counters` line, the service result's `stats`
-/// object and run_ccd_multistart's merge all walk it, in this order.
+/// once: the evaluator's metrics, the service result's `stats` object and
+/// run_ccd_multistart's merge all walk it, in this order.
 struct SearchCounter {
   const char* name;
   std::size_t SearchStats::*field;

@@ -1,7 +1,7 @@
 #pragma once
 
 // The one reader for every line-oriented text input (machine, task graph,
-// mapping, profiles database, evaluator state, checkpoint) and the typed
+// mapping, profiles database, checkpoint) and the typed
 // number conversions CLI flags, wire fields and store names share with it.
 // The lexical and number rules are those of docs/file_formats.md.
 

@@ -176,9 +176,55 @@ fi
       > "$DIR/resumed.txt"
 cmp "$DIR/uninterrupted.txt" "$DIR/resumed.txt"
 
+# A checkpoint belongs to one search. Resuming it as another seed, repeat
+# count or algorithm fails with one error line; the budget, the thread
+# count and pruning are not part of the search, so changing them resumes
+# onto the uninterrupted summary.
+"$CLI" export-app stencil 2 1 "$DIR/s.graph" > /dev/null
+stencil_search() {
+  "$CLI" search "$DIR/m.machine" "$DIR/s.graph" "$@"
+}
+S7=(--seed 7 --repeats 3)
+stencil_search "${S7[@]}" | grep "best mapping" > "$DIR/s_full.txt"
+stencil_search "${S7[@]}" --budget 0.5 --checkpoint "$DIR/s_ck.txt" \
+      --profiles "$DIR/s_db.txt" > /dev/null
+test -s "$DIR/s_ck.txt"
+for other in "--seed 8 --repeats 3" "--seed 7 --repeats 5" \
+             "--seed 7 --repeats 3 --algorithm random" \
+             "--seed 7 --repeats 3 --algorithm multistart"; do
+  # shellcheck disable=SC2086
+  if stencil_search $other --resume "$DIR/s_ck.txt" > /dev/null \
+        2> "$DIR/s_other.err"; then
+    echo "expected nonzero exit resuming as: $other" >&2
+    exit 1
+  fi
+  grep -q "^error: " "$DIR/s_other.err"
+  test "$(wc -l < "$DIR/s_other.err")" -eq 1
+done
+for same in "--budget 1000" "--threads 4" "--no-prune"; do
+  # shellcheck disable=SC2086
+  stencil_search "${S7[@]}" $same --resume "$DIR/s_ck.txt" \
+      | grep "best mapping" > "$DIR/s_resumed.txt"
+  cmp "$DIR/s_full.txt" "$DIR/s_resumed.txt"
+done
+# The cut run saved its profiles database, so resuming with --profiles
+# seeds the search from it as well.
+stencil_search "${S7[@]}" --resume "$DIR/s_ck.txt" \
+      --profiles "$DIR/s_db.txt" > "$DIR/s_seeded.txt"
+grep -q "seeded profiles database" "$DIR/s_seeded.txt"
+grep -q "best mapping" "$DIR/s_seeded.txt"
+# A finished search's final checkpoint is the same file at any thread
+# count and with pruning off.
+stencil_search "${S7[@]}" --checkpoint "$DIR/s_final1.txt" > /dev/null
+stencil_search "${S7[@]}" --threads 4 --checkpoint "$DIR/s_final4.txt" \
+      > /dev/null
+stencil_search "${S7[@]}" --no-prune --checkpoint "$DIR/s_final_np.txt" \
+      > /dev/null
+cmp "$DIR/s_final1.txt" "$DIR/s_final4.txt"
+cmp "$DIR/s_final1.txt" "$DIR/s_final_np.txt"
+
 # Provenance journal + metrics: the journal is valid JSONL, the metrics
 # dump is Prometheus text, and the telemetry digest points at both.
-"$CLI" export-app stencil 2 1 "$DIR/s.graph" > /dev/null
 "$CLI" search "$DIR/m.machine" "$DIR/s.graph" --rotations 3 --repeats 3 \
       --journal "$DIR/s.journal.jsonl" --metrics-out "$DIR/s.metrics.txt" \
       --telemetry > "$DIR/jtel.txt"

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -126,7 +129,11 @@ TEST_F(ExtraAlgorithms, MultistartStatsAreTheSumOfItsPasses) {
   SearchOptions options{.rotations = 2, .repeats = 3, .seed = 11};
   options.resilience = {.max_retries = 1, .quarantine_after = 2};
   options.journal = &journal;
+  const auto t0 = std::chrono::steady_clock::now();
   const SearchResult multi = run_ccd_multistart(faulty, options, 1);
+  const double multi_wall_s = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count();
 
   // Pass one is a plain CCD search; pass two restarts from the seed and
   // start mapping its search_begin record carries, over pass one's
@@ -158,9 +165,55 @@ TEST_F(ExtraAlgorithms, MultistartStatsAreTheSumOfItsPasses) {
             first.stats.search_time_s + second.stats.search_time_s);
   EXPECT_EQ(multi.stats.evaluation_time_s,
             first.stats.evaluation_time_s + second.stats.evaluation_time_s);
+  // Pass two's rotations follow pass one's, on the combined counts.
+  std::vector<RotationTelemetry> rotations = first.stats.rotations;
+  for (RotationTelemetry rt : second.stats.rotations) {
+    rt.rotation += static_cast<int>(first.stats.rotations.size());
+    rt.evaluated += first.stats.evaluated;
+    rt.search_time_s += first.stats.search_time_s;
+    rotations.push_back(rt);
+  }
+  ASSERT_EQ(multi.stats.rotations.size(), rotations.size());
+  for (std::size_t i = 0; i < rotations.size(); ++i) {
+    EXPECT_EQ(multi.stats.rotations[i].rotation, rotations[i].rotation);
+    EXPECT_EQ(multi.stats.rotations[i].best_before_s,
+              rotations[i].best_before_s);
+    EXPECT_EQ(multi.stats.rotations[i].best_after_s,
+              rotations[i].best_after_s);
+    EXPECT_EQ(multi.stats.rotations[i].evaluated, rotations[i].evaluated);
+    EXPECT_EQ(multi.stats.rotations[i].search_time_s,
+              rotations[i].search_time_s);
+  }
+  // Wall time is real time, so only bounds hold: the passes' sum is
+  // positive and fits in the call that ran them.
+  EXPECT_GT(multi.stats.wall_time_s, 0.0);
+  EXPECT_LE(multi.stats.wall_time_s, multi_wall_s);
   EXPECT_EQ(multi.stats.suggested, multi.stats.evaluated +
                                        multi.stats.invalid +
                                        multi.stats.cache_hits);
+}
+
+TEST_F(ExtraAlgorithms, MultistartWritesNoCheckpointAndRefusesToResume) {
+  const std::string path =
+      ::testing::TempDir() + "automap_multistart_checkpoint.txt";
+  std::remove(path.c_str());
+  SearchOptions options{.rotations = 2, .repeats = 2, .seed = 5};
+  options.checkpoint_path = path;
+  int written = 0;
+  options.on_checkpoint = [&written](int, int) { ++written; };
+  (void)run_ccd_multistart(sim, options, 1);
+  EXPECT_EQ(written, 0);
+  EXPECT_FALSE(std::ifstream(path).good());
+
+  options.resume_state = "automap-checkpoint 2\n";
+  try {
+    (void)run_ccd_multistart(sim, options, 1);
+    ADD_FAILURE() << "multistart resumed from a checkpoint";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "multistart searches write no checkpoints and cannot "
+                 "resume from one");
+  }
 }
 
 TEST_F(ExtraAlgorithms, DeterministicPerSeed) {

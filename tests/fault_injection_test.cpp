@@ -10,13 +10,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/apps/stencil.hpp"
 #include "src/io/text_io.hpp"
 #include "src/machine/machine.hpp"
 #include "src/report/analysis.hpp"
+#include "src/report/explain.hpp"
+#include "src/report/journal.hpp"
 #include "src/report/profile.hpp"
 #include "src/search/coordinate_descent.hpp"
 #include "src/search/evaluator.hpp"
@@ -24,6 +28,7 @@
 #include "src/sim/simulator.hpp"
 #include "src/support/durable.hpp"
 #include "src/support/error.hpp"
+#include "src/support/metrics.hpp"
 
 namespace automap {
 namespace {
@@ -386,34 +391,125 @@ TEST(Checkpoint, WritingCheckpointsDoesNotChangeTheResult) {
   std::remove(path.c_str());
 }
 
-TEST(Checkpoint, EvaluatorStateRoundTripsExactly) {
+/// Three distinct MiniApp candidates, for the transcript tests below.
+std::vector<Mapping> three_candidates(const MiniApp& app,
+                                      const MachineModel& machine) {
+  std::vector<Mapping> out{search_starting_point(app.g, machine)};
+  Mapping cpu = out[0];
+  cpu.at(app.producer).proc = ProcKind::kCpu;
+  cpu.at(app.producer).arg_memories.assign(2, {MemKind::kSystem});
+  out.push_back(cpu);
+  Mapping leader = out[0];
+  leader.at(app.consumer).distribute = false;
+  out.push_back(leader);
+  return out;
+}
+
+/// A fault-on Evaluator that records its fold transcript, and the
+/// transcript of one batch over three_candidates.
+struct Transcribed {
+  MiniApp app;
+  MachineModel machine = make_shepard(1);
+  Simulator sim{machine, app.g,
+                {.iterations = 2, .noise_sigma = 0.02,
+                 .faults = {.crash_prob = 0.1}}};
+  SearchOptions options = [] {
+    SearchOptions o{.repeats = 3, .seed = 12};
+    o.resilience = {.max_retries = 1, .quarantine_after = 2};
+    o.checkpoint_path = ::testing::TempDir() + "automap_ckpt_unwritten.txt";
+    return o;
+  }();
+  std::vector<Mapping> candidates = three_candidates(app, machine);
+  Evaluator original{sim, options};
+  std::vector<double> means = original.evaluate_batch(candidates);
+  std::string transcript = original.serialize_state();
+};
+
+TEST(Checkpoint, FoldTranscriptRoundTripsExactly) {
+  Transcribed t;
+  ASSERT_EQ(t.means.size(), 3u);
+  EXPECT_EQ(std::count(t.transcript.begin(), t.transcript.end(), '\n'), 3);
+
+  // Replaying the transcript reproduces every fold without running the
+  // simulator.
+  MetricsRegistry runs;
+  Simulator counted(t.machine, t.app.g,
+                    {.iterations = 2, .noise_sigma = 0.02,
+                     .faults = {.crash_prob = 0.1},
+                     .metrics = &runs});
+  Evaluator restored(counted, t.options);
+  restored.restore_state(t.transcript);
+  EXPECT_EQ(restored.serialize_state(), t.transcript);
+  EXPECT_EQ(restored.evaluate_batch(t.candidates), t.means);
+  EXPECT_EQ(runs.counter("automap_sim_runs_total", "")->value(), 0u);
+  EXPECT_EQ(restored.serialize_state(), t.transcript);
+  EXPECT_EQ(restored.view().export_profiles(),
+            t.original.view().export_profiles());
+  EXPECT_EQ(restored.view().best_seconds(),
+            t.original.view().best_seconds());
+  const SearchStats& a = restored.view().stats();
+  const SearchStats& b = t.original.view().stats();
+  for (const SearchCounter& c : kSearchCounters)
+    EXPECT_EQ(a.*c.field, b.*c.field) << c.name;
+  EXPECT_EQ(a.search_time_s, b.search_time_s);
+  EXPECT_EQ(a.evaluation_time_s, b.evaluation_time_s);
+}
+
+/// The one-line message of the Error `body` throws ("" if it throws none).
+template <typename Body>
+std::string error_of(Body&& body) {
+  try {
+    body();
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    return what;
+  }
+  return "";
+}
+
+TEST(Checkpoint, ReplayRejectsAFoldOfAnotherCandidate) {
+  Transcribed t;
+  Evaluator restored(t.sim, t.options);
+  restored.restore_state(t.transcript);
+  std::swap(t.candidates[1], t.candidates[2]);
+  EXPECT_NE(error_of([&] { (void)restored.evaluate_batch(t.candidates); })
+                .find("checkpoint fold 2 records candidate"),
+            std::string::npos);
+}
+
+TEST(Checkpoint, ReplayRejectsATranscriptEndingInsideABatch) {
+  Transcribed t;
+  const std::string two_folds =
+      t.transcript.substr(0, t.transcript.rfind("fold "));
+  Evaluator restored(t.sim, t.options);
+  restored.restore_state(two_folds);
+  EXPECT_NE(error_of([&] { (void)restored.evaluate_batch(t.candidates); })
+                .find("checkpoint ends inside a batch after fold 2"),
+            std::string::npos);
+}
+
+TEST(Checkpoint, FinalizeRejectsFoldsNeverReplayed) {
+  Transcribed t;
+  Evaluator restored(t.sim, t.options);
+  restored.restore_state(t.transcript);
+  (void)restored.evaluate(t.candidates[0]);
+  EXPECT_NE(error_of([&] { (void)restored.finalize("test"); })
+                .find("checkpoint holds 2 folds the resumed search never "
+                      "reached"),
+            std::string::npos);
+}
+
+TEST(Checkpoint, ResumeRejectsAVersionOneCheckpoint) {
   MiniApp app;
   const MachineModel machine = make_shepard(1);
-  Simulator sim(machine, app.g,
-                {.iterations = 2, .noise_sigma = 0.02,
-                 .faults = {.crash_prob = 0.1}});
-
-  SearchOptions options{.repeats = 3, .seed = 12};
-  options.resilience = {.max_retries = 1, .quarantine_after = 2};
-  Evaluator original(sim, options);
-  std::vector<Mapping> candidates;
-  candidates.push_back(search_starting_point(app.g, machine));
-  Mapping b = candidates[0];
-  b.at(app.producer).proc = ProcKind::kCpu;
-  b.at(app.producer).arg_memories.assign(2, {MemKind::kSystem});
-  candidates.push_back(b);
-  (void)original.evaluate_batch(candidates);
-
-  const std::string state = original.serialize_state();
-  Evaluator restored(sim, options);
-  restored.restore_state(state);
-  EXPECT_EQ(restored.serialize_state(), state);
-  EXPECT_EQ(restored.view().export_profiles(),
-            original.view().export_profiles());
-  EXPECT_EQ(restored.view().best_seconds(),
-            original.view().best_seconds());
-  EXPECT_EQ(restored.view().stats().search_time_s,
-            original.view().stats().search_time_s);
+  Simulator sim(machine, app.g, {.iterations = 2, .noise_sigma = 0.02});
+  SearchOptions options{.rotations = 2, .repeats = 2, .seed = 3};
+  options.resume_state =
+      "automap-checkpoint 1\nalgorithm AM-CCD\nrotation 1\nposition 0\n";
+  EXPECT_EQ(error_of([&] { (void)run_ccd(sim, options); }),
+            "line 1: checkpoint format 1 is not supported (this build reads "
+            "format 2)");
 }
 
 TEST(Checkpoint, ResumedSearchMatchesTheUninterruptedRun) {
@@ -466,39 +562,101 @@ TEST(Checkpoint, ResumeRejectsAlgorithmMismatch) {
   std::remove(path.c_str());
 }
 
-TEST(Checkpoint, ResumeRejectsRepeatedKindsInAPriorityList) {
-  MiniApp app;
-  const MachineModel machine = make_shepard(1);
-  Simulator sim(machine, app.g, {.iterations = 2, .noise_sigma = 0.02});
+/// The fault-on stencil CCD search of ResumedSearchMatchesTheUninterruptedRun
+/// and the checkpoint its run cut at half the simulated clock leaves.
+struct CutSearch {
+  MachineModel machine = make_shepard(1);
+  BenchmarkApp app = make_stencil(stencil_config_for(1, 0));
+  SimOptions sim_options{.iterations = 2,
+                         .noise_sigma = 0.02,
+                         .faults = {.crash_prob = 0.05,
+                                    .straggler_prob = 0.05,
+                                    .straggler_factor = 3.0}};
+  Simulator sim{machine, app.graph, sim_options};
+  SearchOptions options = [] {
+    SearchOptions o{.rotations = 3, .repeats = 2, .seed = 23};
+    o.resilience = {.max_retries = 1, .quarantine_after = 3};
+    return o;
+  }();
+  SearchResult reference = run_ccd(sim, options);
+  // One file per test: ctest runs the tests of this binary in parallel.
+  std::string path =
+      ::testing::TempDir() + "automap_ckpt_cut_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".txt";
+  std::string checkpoint = [this] {
+    SearchOptions cut = options;
+    cut.checkpoint_path = path;
+    cut.time_budget_s = reference.stats.search_time_s * 0.5;
+    (void)run_ccd(sim, cut);
+    return load_checksummed(path).payload;
+  }();
+};
 
-  const std::string path =
-      ::testing::TempDir() + "automap_ckpt_priority_list.txt";
-  SearchOptions options{.rotations = 2, .repeats = 2, .seed = 3};
-  options.checkpoint_path = path;
-  (void)run_ccd(sim, options);
-  std::string text = load_checksummed(path).payload;
-  std::remove(path.c_str());
-
-  // Extend the incumbent's last priority list on task 0 by a kind twice.
-  const std::size_t task = text.find("\ntask 0 ");
-  ASSERT_NE(task, std::string::npos);
-  text.insert(text.find('\n', task + 1), ",System,System");
-  const std::string line =
-      "line " +
-      std::to_string(std::count(text.begin(), text.begin() + task + 1, '\n') +
-                     1) +
-      ": memory priority list '";
-
-  SearchOptions resumed{.rotations = 2, .repeats = 2, .seed = 3};
-  resumed.resume_state = text;
-  try {
-    (void)run_ccd(sim, resumed);
-    ADD_FAILURE() << "checkpoint with a repeated kind accepted";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_EQ(what.rfind(line, 0), 0u) << what;
-    EXPECT_NE(what.find("' names System twice"), std::string::npos) << what;
+TEST(Checkpoint, ResumeChecksTheSearchIdentity) {
+  CutSearch s;
+  ASSERT_FALSE(s.checkpoint.empty());
+  // Whatever decides a fold's outcome is part of the identity...
+  for (const auto& change :
+       std::vector<std::function<void(SearchOptions&)>>{
+           [](SearchOptions& o) { ++o.seed; },
+           [](SearchOptions& o) { o.repeats = 3; }}) {
+    SearchOptions other = s.options;
+    change(other);
+    other.resume_state = s.checkpoint;
+    EXPECT_NE(error_of([&] { (void)run_ccd(s.sim, other); })
+                  .find("checkpoint was written by a different search"),
+              std::string::npos);
   }
+  // ...while the budget, the thread count and pruning are not.
+  for (const auto& change :
+       std::vector<std::function<void(SearchOptions&)>>{
+           [](SearchOptions& o) { o.time_budget_s = 1e9; },
+           [](SearchOptions& o) { o.threads = 3; },
+           [](SearchOptions& o) { o.prune_candidates = false; }}) {
+    SearchOptions other = s.options;
+    change(other);
+    other.resume_state = s.checkpoint;
+    expect_identical(run_ccd(s.sim, other), s.reference, "changed resume");
+  }
+  std::remove(s.path.c_str());
+}
+
+TEST(Checkpoint, ResumedJournalIsTheUninterruptedOne) {
+  CutSearch s;
+  // Both runs checkpoint, so both journal their checkpoint points; the
+  // resumed run replays the cut run's points without writing them.
+  const auto journaled = [&s](const std::string& resume_state) {
+    Journal journal;
+    MetricsRegistry metrics;
+    SearchOptions o = s.options;
+    o.journal = &journal;
+    o.metrics = &metrics;
+    o.checkpoint_path = s.path;
+    o.resume_state = resume_state;
+    int written = 0;
+    o.on_checkpoint = [&written](int, int) { ++written; };
+    const SearchResult result = run_ccd(s.sim, o);
+    expect_identical(result, s.reference, "journaled run");
+    return std::make_tuple(
+        journal.text(), written,
+        metrics.counter("automap_checkpoints_total", "")->value());
+  };
+  const auto [resumed, resumed_writes, resumed_points] =
+      journaled(s.checkpoint);
+  const auto [uninterrupted, writes, points] = journaled("");
+  EXPECT_EQ(resumed_points, points);
+  EXPECT_GT(writes, resumed_writes);
+  std::string expected = uninterrupted;
+  const std::string flag = "\"resumed\":false";
+  ASSERT_NE(expected.find(flag), std::string::npos);
+  expected.replace(expected.find(flag), flag.size(), "\"resumed\":true");
+  EXPECT_EQ(resumed, expected);
+
+  const ReplayOutcome replayed =
+      replay_journal(s.machine, s.app.graph, resumed);
+  EXPECT_FALSE(replayed.drift) << replayed.rendering;
+  std::remove(s.path.c_str());
 }
 
 }  // namespace

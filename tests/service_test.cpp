@@ -480,6 +480,46 @@ TEST(Service, CancelRunningJobCheckpointsAndResumesByteIdentically) {
             reference.handle("{\"op\":\"result\",\"job\":" + ref_id + "}"));
 }
 
+TEST(Service, RevivedJobResumesOverAMeasurementBucketWrittenSinceItsCut) {
+  // A reuse_measurements job is cancelled mid-run; a shorter job of the
+  // same measurement bucket (the bucket key ignores rotations) then writes
+  // that bucket. Reviving the first job resumes its checkpoint over the
+  // seeded database and finishes.
+  const std::string store = fresh_store("resume-over-bucket");
+  const std::string reuse = ",\"reuse_measurements\":true";
+  SearchOptions options = small_options(42);
+  options.rotations = 64;
+  std::string id;
+  {
+    MappingService service(
+        {.store_dir = store, .eval_threads = 2, .job_workers = 1});
+    id = job_id_of(handle_json(service, submit_request(options, reuse)));
+    const std::string checkpoint = store + "/jobs/" + id + "/checkpoint";
+    for (int i = 0; i < 3000 && !fs::exists(checkpoint); ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_TRUE(fs::exists(checkpoint));
+    handle_json(service, "{\"op\":\"cancel\",\"job\":" + id + "}");
+    ASSERT_EQ(wait_for(service, id), "cancelled");
+  }
+
+  MappingService revived(
+      {.store_dir = store, .eval_threads = 2, .job_workers = 0});
+  SearchOptions shorter = options;
+  shorter.rotations = 2;
+  const std::string short_id =
+      job_id_of(handle_json(revived, submit_request(shorter, reuse)));
+  revived.drain();
+  ASSERT_EQ(wait_for(revived, short_id), "done");
+
+  EXPECT_EQ(job_id_of(handle_json(revived, submit_request(options, reuse))),
+            id);
+  revived.drain();
+  EXPECT_EQ(wait_for(revived, id), "done");
+  EXPECT_EQ(metric_value(revived.expose_metrics(),
+                         "automap_service_eval_cache_seeded_total"),
+            1.0);
+}
+
 TEST(Service, ResultCacheEvictsLeastRecentlyServed) {
   const std::string store = fresh_store("lru");
   std::string payload_1;
