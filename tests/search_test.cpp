@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <map>
+#include <string>
 
 #include "src/apps/circuit.hpp"
 #include "src/apps/registry.hpp"
@@ -410,6 +413,60 @@ TEST(ProfilesDb, HeaderCountMustMatchTheEntries) {
     } catch (const Error& e) {
       EXPECT_EQ(std::string(e.what()).rfind("line ", 0), 0u) << e.what();
     }
+  }
+}
+
+/// A canonical profiles text for `graph`: variants of `base`, one decision
+/// changed each, with exact, censored, quarantined and infinite entries,
+/// 17-digit means, and listed in hash order as the export writes them.
+std::string profiles_text(const Mapping& base) {
+  std::map<std::uint64_t, std::string> entries;
+  const std::size_t n = base.num_tasks();
+  for (std::size_t k = 0; k < 4 * n + 1; ++k) {
+    Mapping m = base;
+    if (k > 0) {
+      TaskMapping& tm = m.at(TaskId((k - 1) % n));
+      switch ((k - 1) / n) {
+        case 0: tm.distribute = false; break;
+        case 1: tm.blocked = true; break;
+        case 2:
+          tm.proc = tm.proc == ProcKind::kGpu ? ProcKind::kCpu : ProcKind::kGpu;
+          break;
+        default:
+          for (MemPriority& p : tm.arg_memories)
+            p = {MemKind::kZeroCopy, MemKind::kSystem, MemKind::kFrameBuffer};
+      }
+    }
+    char mean[40];
+    std::snprintf(mean, sizeof mean, "%.17g",
+                  static_cast<double>(k + 1) / 3.0 * (k % 3 == 0 ? 1e-5 : 7.0));
+    std::string line = "entry ";
+    switch (k % 5) {
+      case 0: line += "inf"; break;
+      case 1: line += std::string(mean) + " censored"; break;
+      case 2: line += "inf quarantined"; break;
+      default: line += mean;
+    }
+    entries[m.hash()] = line + "\n" + m.serialize();
+  }
+  std::string text = "profiles " + std::to_string(entries.size()) + "\n";
+  for (const auto& [key, entry] : entries) text += entry;
+  return text;
+}
+
+TEST(ProfilesDb, ExportOfAnImportIsTheImportedText) {
+  const MachineModel machine = make_shepard(2);
+  for (const std::string& name : app_names()) {
+    const BenchmarkApp app = make_app_by_name(name, 2, 0);
+    Simulator sim(machine, app.graph, app.sim);
+    const std::string text =
+        profiles_text(search_starting_point(app.graph, machine));
+    for (const char* marker : {"entry inf\n", " censored\n", " quarantined\n"})
+      ASSERT_NE(text.find(marker), std::string::npos) << name << marker;
+    SearchOptions options{.repeats = 2};
+    options.profiles_seed = text;
+    Evaluator eval(sim, options);
+    EXPECT_EQ(eval.view().export_profiles(), text) << name;
   }
 }
 

@@ -264,6 +264,41 @@ TEST(LineReader, KeepsNonBlankBytesInsideTokens) {
   EXPECT_FALSE(LineReader("\n\r\n \n#\n").next());
 }
 
+TEST(LineReader, PinsTokensAndLineNumbersOfEveryLine) {
+  LineReader r(
+      "\ta\t\tb\t\n"        // 1: tabs around and between tokens
+      "\n"                  // 2: empty
+      "c\r\vd\fe\r\n"       // 3: \r, \v and \f inside the line and at its end
+      "   \t\r\v\f\n"       // 4: blank characters only
+      "# comment only\n"    // 5
+      "  # indented comment\n"  // 6
+      "ab#cd ef\n"          // 7: '#' inside a token ends the line there
+      "gh\t#\n"             // 8: '#' after a tab
+      "#a b\n"              // 9
+      "i j k\r\n"           // 10
+      "\r\n"                // 11
+      "last \tone");        // 12: no newline at the end
+  const std::vector<std::pair<int, std::string>> want = {
+      {1, "a|b"}, {3, "c|d|e"}, {7, "ab"}, {8, "gh"}, {10, "i|j|k"},
+      {12, "last|one"}};
+  for (const auto& [line, tokens] : want) {
+    ASSERT_TRUE(r.next()) << "line " << line;
+    EXPECT_EQ(r.line_number(), line);
+    EXPECT_EQ(joined(r), tokens) << "line " << line;
+  }
+  EXPECT_FALSE(r.next());
+  EXPECT_EQ(r.size(), 0u);
+  EXPECT_EQ(r.line_number(), 12);
+
+  // A final newline opens no further line; trailing blank and comment lines
+  // are counted before the end is reported.
+  LineReader trailing("x\n\n# tail\n \n");
+  ASSERT_TRUE(trailing.next());
+  EXPECT_EQ(trailing.line_number(), 1);
+  EXPECT_FALSE(trailing.next());
+  EXPECT_EQ(trailing.line_number(), 4);
+}
+
 using Small = SmallVector<int, 3>;
 
 std::vector<int> items(const Small& v) { return {v.begin(), v.end()}; }
