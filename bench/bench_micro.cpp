@@ -1,11 +1,12 @@
 // Component micro-benchmarks (google-benchmark): the building blocks whose
 // cost determines how many candidate mappings an offline search can afford
 // to try — simulator runs, dependence analysis, overlap-graph construction,
-// co-location fixed points and mapping hashing.
+// co-location fixed points, mapping hashing and the profiles database.
 
 #include <benchmark/benchmark.h>
 
 #include <limits>
+#include <string>
 
 #include "src/apps/circuit.hpp"
 #include "src/apps/htr.hpp"
@@ -16,6 +17,7 @@
 #include "src/runtime/mapper.hpp"
 #include "src/support/json.hpp"
 #include "src/search/coordinate_descent.hpp"
+#include "src/search/evaluator.hpp"
 #include "src/search/search.hpp"
 #include "src/sim/simulator.hpp"
 
@@ -127,6 +129,44 @@ void BM_StencilGraphGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StencilGraphGeneration);
+
+// The profiles-database layers of a cached request (a search seeded with an
+// earlier search's database): reading the database into a fresh evaluator,
+// and writing it back out as the search result does. The database is that
+// of one default CCD search of pennant.
+const std::string& pennant_profiles() {
+  static const std::string db = [] {
+    Simulator sim(shepard1(), pennant_app().graph, pennant_app().sim);
+    return run_ccd(sim, SearchOptions{}).profiles_db;
+  }();
+  return db;
+}
+
+void BM_ProfilesImportPennant(benchmark::State& state) {
+  Simulator sim(shepard1(), pennant_app().graph, pennant_app().sim);
+  SearchOptions options;
+  options.profiles_seed = pennant_profiles();
+  for (auto _ : state) {
+    Evaluator eval(sim, options);
+    benchmark::DoNotOptimize(eval.view().best_seconds());
+  }
+  state.counters["bytes_per_s"] = benchmark::Counter(
+      static_cast<double>(options.profiles_seed.size()),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_ProfilesImportPennant);
+
+void BM_ProfilesExportPennant(benchmark::State& state) {
+  Simulator sim(shepard1(), pennant_app().graph, pennant_app().sim);
+  SearchOptions options;
+  options.profiles_seed = pennant_profiles();
+  const Evaluator eval(sim, options);
+  for (auto _ : state) benchmark::DoNotOptimize(eval.view().export_profiles());
+  state.counters["bytes_per_s"] = benchmark::Counter(
+      static_cast<double>(options.profiles_seed.size()),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_ProfilesExportPennant);
 
 // Journal emission cost per candidate event (in-memory journal). The hot
 // path with the journal *disabled* is a single pointer check — covered by

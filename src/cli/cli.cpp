@@ -118,6 +118,10 @@ int CommandRegistry::run(int argc, char** argv) const {
     for (const FlagSpec& flag : command->flags)
       if (flag.name == token) spec = &flag;
     if (spec != nullptr) {
+      if (args.has(token)) {
+        std::cerr << "error: " << token << " given twice\n";
+        return 2;
+      }
       std::string value;
       if (!spec->value_name.empty()) {
         AM_REQUIRE(i + 1 < argc, token + " needs a value");

@@ -54,6 +54,9 @@ ProcKind parse_proc_kind(std::string_view name) {
 }
 
 MemKind parse_mem_kind(std::string_view name) {
+  // to_string's spellings first: every written mapping uses them.
+  for (const MemKind k : kAllMemKinds)
+    if (name == to_string(k)) return k;
   if (iequals(name, "SYSTEM") || iequals(name, "SYSMEM"))
     return MemKind::kSystem;
   if (iequals(name, "ZEROCOPY") || iequals(name, "ZC") ||

@@ -8,13 +8,10 @@
 
 namespace automap {
 
-Mapping::Mapping(const TaskGraph& graph) {
-  tasks_.reserve(graph.num_tasks());
-  for (const auto& t : graph.tasks()) {
-    TaskMapping tm;
-    tm.arg_memories.assign(t.args.size(), {MemKind::kFrameBuffer});
-    tasks_.push_back(std::move(tm));
-  }
+Mapping::Mapping(const TaskGraph& graph) : tasks_(graph.num_tasks()) {
+  const MemPriority frame_buffer{MemKind::kFrameBuffer};
+  for (const auto& t : graph.tasks())
+    tasks_[t.id.index()].arg_memories.assign(t.args.size(), frame_buffer);
 }
 
 MemKind Mapping::primary_memory(TaskId id, std::size_t arg) const {
@@ -107,10 +104,28 @@ std::uint64_t Mapping::hash() const {
 }
 
 std::string Mapping::serialize() const {
+  std::string out;
+  out.reserve(serialized_size_bound());
+  serialize_to(out);
+  return out;
+}
+
+std::size_t Mapping::serialized_size_bound() const {
+  // A task line without its lists, "task <index> blocked CPU\n", is at most
+  // 38 bytes; each memory kind in a list adds at most 12, a separator and
+  // "FrameBuffer".
+  std::size_t bound = 0;
+  for (const TaskMapping& tm : tasks_) {
+    bound += 38;
+    for (const MemPriority& priority : tm.arg_memories)
+      bound += 12 * priority.size();
+  }
+  return bound;
+}
+
+void Mapping::serialize_to(std::string& out) const {
   // Plain string appends: the profiles-database export serializes every
   // measured mapping, which can be tens of thousands per search.
-  std::string out;
-  out.reserve(tasks_.size() * 48);
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
     const TaskMapping& tm = tasks_[i];
     out += "task ";
@@ -128,7 +143,6 @@ std::string Mapping::serialize() const {
     }
     out += '\n';
   }
-  return out;
 }
 
 Mapping Mapping::parse(const std::string& text, const TaskGraph& graph) {

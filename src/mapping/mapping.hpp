@@ -144,6 +144,11 @@ class Mapping {
   /// Serializes to a line-oriented text form:
   ///   task <index> <dist|leader> <CPU|GPU> <mem[,mem...]> ...
   [[nodiscard]] std::string serialize() const;
+  /// Appends serialize()'s text to `out`.
+  void serialize_to(std::string& out) const;
+  /// An upper bound on the length of serialize()'s text, for sizing a
+  /// buffer that takes many mappings.
+  [[nodiscard]] std::size_t serialized_size_bound() const;
   /// Parses the output of serialize(), each task index exactly once. Throws
   /// Error naming the line on malformed input or when the shape does not
   /// match `graph`.

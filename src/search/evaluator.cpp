@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 
@@ -310,19 +309,32 @@ std::string Evaluator::export_profiles() const {
   // database contents.
   std::vector<std::pair<std::uint64_t, const Entry*>> order;
   order.reserve(profiles_.size());
-  for (const auto& [hash, entry] : profiles_) order.emplace_back(hash, &entry);
+  // The text goes into one buffer that never grows: the header and each
+  // entry line are under 48 bytes.
+  std::size_t bound = 48;
+  for (const auto& [hash, entry] : profiles_) {
+    order.emplace_back(hash, &entry);
+    bound += 48 + entry.mapping.serialized_size_bound();
+  }
   std::sort(order.begin(), order.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::ostringstream os;
-  os.precision(17);
-  os << "profiles " << profiles_.size() << "\n";
+  std::string out;
+  out.reserve(bound);
+  out += "profiles " + std::to_string(profiles_.size()) + "\n";
   for (const auto& [hash, entry] : order) {
-    os << "entry " << entry->mean_seconds;
-    if (entry->state == EntryState::kCensored) os << " censored";
-    if (entry->state == EntryState::kQuarantined) os << " quarantined";
-    os << "\n" << entry->mapping.serialize();
+    // The mean as printf's %.17g writes it ("inf" when infinite).
+    char mean[32];
+    out += "entry ";
+    out.append(mean, std::to_chars(mean, mean + sizeof(mean),
+                                   entry->mean_seconds,
+                                   std::chars_format::general, 17)
+                         .ptr);
+    if (entry->state == EntryState::kCensored) out += " censored";
+    if (entry->state == EntryState::kQuarantined) out += " quarantined";
+    out += '\n';
+    entry->mapping.serialize_to(out);
   }
-  return os.str();
+  return out;
 }
 
 void Evaluator::import_profiles(const std::string& text) {
@@ -331,6 +343,9 @@ void Evaluator::import_profiles(const std::string& text) {
     reader.next_line("profiles <count>");
     const std::size_t count = to_int<std::size_t>(reader[1], "profiles");
     const TaskGraph& graph = sim_.graph();
+    // Each entry takes at least one 8-byte line ("entry 0\n"), so the text
+    // bounds what a garbled header can make the map reserve.
+    profiles_.reserve(profiles_.size() + std::min(count, text.size() / 8));
     for (std::size_t i = 0; i < count; ++i) {
       // After the mean the line may carry an optional marker: "censored"
       // (the stored value is a bound the true mean exceeds) or "quarantined"
@@ -728,13 +743,18 @@ void Evaluator::begin_search(std::string_view label, const Mapping& start,
 
 bool Evaluator::checkpoint(int rotation, std::size_t position) {
   if (options_.checkpoint_path.empty() || budget_exhausted()) return false;
-  // A point still being replayed was written by the interrupted run.
-  const bool write = replayed_ == replay_.size();
-  if (write)
+  // A point still being replayed was written by the interrupted run, and
+  // a point with no fold since this evaluator's last write would rewrite
+  // the same bytes.
+  const bool write =
+      replayed_ == replay_.size() && transcript_.size() != written_size_;
+  if (write) {
     save_checksummed(options_.checkpoint_path,
                      "automap-checkpoint 2\nsearch " + hex_u64(identity_) +
                          "\n" + transcript_,
                      "checkpoint");
+    written_size_ = transcript_.size();
+  }
   if (journal_) {
     journal_->event("checkpoint")
         .integer("at_rotation", rotation)
@@ -877,15 +897,27 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
   for (const Entry& entry : top_)
     candidates.push_back(with_fallbacks(entry.mapping));
 
+  // The finalist whose plan each lane's arena holds: a lane builds a plan
+  // once for all the repeats of one finalist it runs in a row, so the
+  // serial path builds exactly one per finalist. A failed begin_runs
+  // leaves no plan, so every rerun of an OOM finalist fails and is
+  // charged the observation cost.
+  constexpr std::size_t kNoPlan = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> lane_plan(scratches_.size(), kNoPlan);
   const auto rerun = [&](std::size_t i, SimScratch& scratch) {
     const std::size_t e = i / runs_per;
+    std::size_t& held =
+        lane_plan[static_cast<std::size_t>(&scratch - scratches_.data())];
     RunOutcome out;
-    if (!sim_.begin_runs(candidates[e], scratch)) {
-      // Deterministic failure (OOM): one observation cost, same as the
-      // search loop charges.
-      out.excluded = true;
-      out.charge.seconds = failure_observation_cost();
-      return out;
+    if (held != e) {
+      held = sim_.begin_runs(candidates[e], scratch) ? e : kNoPlan;
+      if (held == kNoPlan) {
+        // Deterministic failure (OOM): one observation cost, same as the
+        // search loop charges.
+        out.excluded = true;
+        out.charge.seconds = failure_observation_cost();
+        return out;
+      }
     }
     if (const ExecutionReport* report =
             run_repeat(candidates[e], top_[e].key,

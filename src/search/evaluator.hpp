@@ -185,9 +185,10 @@ class Evaluator {
   /// A checkpoint point of the algorithm, between two batches: with a
   /// checkpoint_path and budget left, durably writes the transcript so far
   /// (unless the point is still being replayed, when the file already holds
-  /// it), journals a `checkpoint` event and calls on_checkpoint after a
-  /// write. Returns whether the point counted, i.e. whether the journal
-  /// event was emitted.
+  /// it, or no fold came since this evaluator last wrote it), journals a
+  /// `checkpoint` event and calls on_checkpoint after a write. Returns
+  /// whether the point counted, i.e. whether the journal event was
+  /// emitted.
   bool checkpoint(int rotation, std::size_t position);
 
   /// The journal configured in SearchOptions (null when disabled) — the
@@ -421,6 +422,9 @@ class Evaluator {
   std::uint64_t identity_ = 0;
   /// Fold lines for the checkpoint file (see serialize_state).
   std::string transcript_;
+  /// transcript_.size() at this evaluator's last checkpoint write (npos:
+  /// none yet); folds only append, so an equal size means nothing new.
+  std::size_t written_size_ = std::string::npos;
   /// Folds read back by restore_state, and how many of them were replayed.
   std::vector<Fold> replay_;
   std::size_t replayed_ = 0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 namespace automap {
 
@@ -27,30 +29,43 @@ double to_double_or_inf(std::string_view token, std::string_view field) {
 }
 
 namespace {
-/// Token separators. A character test, not std::string_view::find_first_of:
-/// that calls memchr over the separator set once per character scanned.
+/// Token separators: space, \t, \v, \f and \r, as one bit test per
+/// character.
+constexpr std::uint64_t kBlanks = (1ULL << ' ') | (1ULL << '\t') |
+                                  (1ULL << '\v') | (1ULL << '\f') |
+                                  (1ULL << '\r');
 bool is_blank(char c) {
-  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+  const auto u = static_cast<unsigned char>(c);
+  return u <= ' ' && ((kBlanks >> u) & 1) != 0;
 }
 }  // namespace
 
 bool LineReader::next() {
   tokens_.clear();
+  const char* const text_end = text_.data() + text_.size();
   while (tokens_.empty() && pos_ < text_.size()) {
-    const std::size_t end = std::min(text_.find('\n', pos_), text_.size());
-    std::string_view line = text_.substr(pos_, end - pos_);
-    pos_ = end + 1;
+    const char* p = text_.data() + pos_;
+    const std::size_t rest = static_cast<std::size_t>(text_end - p);
+    const char* eol = static_cast<const char*>(std::memchr(p, '\n', rest));
+    if (eol == nullptr) eol = text_end;
+    pos_ = static_cast<std::size_t>(eol - text_.data()) + 1;
     ++line_number_;
-    line = line.substr(0, line.find('#'));
-    const char* p = line.data();
-    const char* const stop = p + line.size();
-    while (true) {
-      while (p != stop && is_blank(*p)) ++p;
-      if (p == stop) break;
-      const char* const start = p;
-      while (p != stop && !is_blank(*p)) ++p;
-      tokens_.emplace_back(start, static_cast<std::size_t>(p - start));
+    // A '#' starts a comment that runs to the end of the line.
+    const char* stop = static_cast<const char*>(
+        std::memchr(p, '#', static_cast<std::size_t>(eol - p)));
+    if (stop == nullptr) stop = eol;
+    // One pass: each character either extends the current token or ends it.
+    const char* start = nullptr;
+    for (; p != stop; ++p) {
+      if (!is_blank(*p)) {
+        if (start == nullptr) start = p;
+      } else if (start != nullptr) {
+        tokens_.emplace_back(start, static_cast<std::size_t>(p - start));
+        start = nullptr;
+      }
     }
+    if (start != nullptr)
+      tokens_.emplace_back(start, static_cast<std::size_t>(stop - start));
   }
   return !tokens_.empty();
 }

@@ -131,6 +131,18 @@ fi
 grep -qi "error" "$DIR/badflag.err"
 test "$(wc -l < "$DIR/badflag.err")" -le 2
 
+# A flag given twice is a usage error, not a silent pick of one value.
+set +e
+"$CLI" search "$DIR/m.machine" "$DIR/g.graph" --seed 7 --seed 8 \
+      > /dev/null 2> "$DIR/twice.err"
+status=$?
+set -e
+if [ "$status" -ne 2 ]; then
+  echo "expected exit 2 for a repeated flag, got $status" >&2
+  exit 1
+fi
+test "$(cat "$DIR/twice.err")" = "error: --seed given twice"
+
 # Fault injection: the searched result under faults is thread-count
 # invariant and the resilience telemetry reaches the output.
 FAULTS=(--fault-crash 0.05 --fault-straggler 0.05 --retries 2 --quarantine 2)

@@ -182,6 +182,17 @@ TEST_F(MappingFixture, ParseSkipsCommentsAndBlankLines) {
   EXPECT_EQ(Mapping::parse(text, g), m);
 }
 
+TEST_F(MappingFixture, SerializedSizeBoundCoversTheLongestLines) {
+  Mapping m(g);
+  EXPECT_LE(m.serialize().size(), m.serialized_size_bound());
+  for (const TaskId t : {t0, t1}) {
+    m.at(t).blocked = true;  // the longest distribution word
+    for (MemPriority& p : m.at(t).arg_memories)
+      p = {MemKind::kFrameBuffer, MemKind::kZeroCopy, MemKind::kSystem};
+  }
+  EXPECT_LE(m.serialize().size(), m.serialized_size_bound());
+}
+
 TEST_F(MappingFixture, PriorityListsSerialize) {
   Mapping m(g);
   m.at(t0).arg_memories[0] = {MemKind::kFrameBuffer, MemKind::kZeroCopy};
