@@ -1154,6 +1154,120 @@ TEST(Service, TraceRecordsCancelledAndExpiredTimelines) {
                   {"submitted", "queued", "expired"});
 }
 
+/// Bytes of the regular files under `dir`, walked independently of the
+/// service's own accounting.
+double bytes_under(const std::string& dir) {
+  std::uintmax_t total = 0;
+  for (const fs::directory_entry& entry :
+       fs::recursive_directory_iterator(dir))
+    if (entry.is_regular_file()) total += entry.file_size();
+  return static_cast<double>(total);
+}
+
+TEST(Service, EveryTerminalPathKeepsTheBooks) {
+  // Each way a job can end — done, failed, cancelled by the client or by
+  // its deadline, while queued or while running — must land its status
+  // and reason, seal the timeline with its own terminal span, bump exactly
+  // one outcome counter, observe the job-duration histogram once, and
+  // leave the store-bytes gauge equal to the bytes really under jobs/.
+  enum class Action { kRun, kCancel, kWait };
+  struct Path {
+    const char* name;
+    int workers;
+    SearchOptions options;
+    std::string extra;
+    Action action;
+    const char* status;
+    const char* reason;
+    std::vector<std::string> timeline;
+    const char* counter;
+  };
+  SearchOptions failing = small_options(5);
+  failing.frozen_tasks = {TaskId(100000)};  // parses; throws at run time
+  SearchOptions long_run = small_options(42);
+  long_run.rotations = 640;  // seconds of work: every cut lands mid-run
+  const std::vector<std::string> ran = {"submitted", "queued", "admitted",
+                                        "running"};
+  const auto then = [](std::vector<std::string> chain, const char* last) {
+    chain.push_back(last);
+    return chain;
+  };
+  const std::vector<Path> paths = {
+      {"done", 0, small_options(5), "", Action::kRun, "done", "",
+       then(ran, "finished"), "automap_service_jobs_completed_total"},
+      {"failed", 0, failing, "", Action::kRun, "failed", "",
+       then(ran, "failed"), "automap_service_jobs_failed_total"},
+      {"cancel-queued", 0, small_options(5), "", Action::kCancel,
+       "cancelled", "client", {"submitted", "queued", "cancelled"},
+       "automap_service_jobs_cancelled_total"},
+      {"cancel-running", 1, long_run, "", Action::kCancel, "cancelled",
+       "client", then(ran, "cancelled"),
+       "automap_service_jobs_cancelled_total"},
+      {"expire-queued", 0, small_options(5), ",\"deadline_ms\":25",
+       Action::kWait, "cancelled", "deadline",
+       {"submitted", "queued", "expired"},
+       "automap_service_jobs_cancelled_total"},
+      {"expire-running", 1, long_run, ",\"deadline_ms\":300", Action::kWait,
+       "cancelled", "deadline", then(ran, "expired"),
+       "automap_service_jobs_cancelled_total"},
+  };
+  const char* const outcomes[] = {"automap_service_jobs_completed_total",
+                                  "automap_service_jobs_failed_total",
+                                  "automap_service_jobs_cancelled_total"};
+
+  for (const Path& path : paths) {
+    SCOPED_TRACE(path.name);
+    const std::string store =
+        fresh_store(std::string("terminal-") + path.name);
+    MappingService service({.store_dir = store,
+                            .eval_threads = 2,
+                            .job_workers = path.workers});
+    const JsonValue submitted =
+        handle_json(service, submit_request(path.options, path.extra));
+    ASSERT_EQ(submitted.str_or("status", ""), "queued");
+    const std::string id = job_id_of(submitted);
+    if (path.action == Action::kRun) service.drain();
+    if (path.action == Action::kCancel) {
+      if (path.workers > 0) {
+        // Cancel only once the search provably runs.
+        const std::string checkpoint = store + "/jobs/" + id + "/checkpoint";
+        for (int i = 0; i < 3000 && !fs::exists(checkpoint); ++i)
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        ASSERT_TRUE(fs::exists(checkpoint));
+      }
+      ASSERT_EQ(handle_json(service, "{\"op\":\"cancel\",\"job\":" + id + "}")
+                    .str_or("type", ""),
+                "cancelled");
+    }
+    ASSERT_EQ(wait_for(service, id), path.status);
+
+    const JsonValue status =
+        handle_json(service, "{\"op\":\"status\",\"job\":" + id + "}");
+    EXPECT_EQ(status.str_or("reason", ""), path.reason);
+    EXPECT_EQ(status.str_or("message", "").empty(),
+              std::string(path.status) != "failed");
+    EXPECT_EQ(status.str_or("span", ""), path.timeline.back());
+    const JsonValue trace =
+        handle_json(service, "{\"op\":\"trace\",\"job\":" + id + "}");
+    EXPECT_TRUE(trace.bool_or("terminal", false));
+    expect_timeline(spans_of(trace), path.timeline);
+
+    const std::string exposition = service.expose_metrics();
+    for (const char* counter : outcomes)
+      EXPECT_EQ(metric_value(exposition, counter),
+                std::string(counter) == path.counter ? 1.0 : 0.0)
+          << counter;
+    EXPECT_EQ(metric_value(exposition,
+                           "automap_service_deadline_expired_total"),
+              path.extra.empty() ? 0.0 : 1.0);
+    EXPECT_EQ(metric_value(exposition,
+                           "automap_service_job_duration_seconds_count"),
+              1.0);
+    EXPECT_EQ(metric_value(exposition, "automap_service_store_bytes"),
+              bytes_under(store + "/jobs"));
+  }
+}
+
 TEST(Service, TraceSurvivesJobEviction) {
   // Mirrors ResultCacheEvictsLeastRecentlyServed: with a two-entry cache,
   // serving job 1 makes job 2 the LRU victim of job 3's arrival. The
