@@ -159,8 +159,12 @@ Mapping Mapping::read(LineReader& reader, const TaskGraph& graph) {
   const std::size_t n = graph.num_tasks();
   std::vector<bool> seen(n, false);
   for (std::size_t line = 0; line < n; ++line) {
-    reader.next_line("task <index> <dist|leader|blocked> <proc>",
-                     /*more=*/true);
+    // expect_line's check, inlined: this runs once per task line of every
+    // profiles entry, and re-splitting the usage text there shows up in
+    // profiles imports.
+    reader.next();
+    if (reader.size() < 4 || reader[0] != "task")
+      throw Error("expected: task <index> <dist|leader|blocked> <proc> ...");
     const std::size_t index =
         to_int(reader[1], std::size_t{0}, n - 1, "task index");
     if (seen[index])

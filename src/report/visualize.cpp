@@ -6,6 +6,7 @@
 
 #include "src/support/error.hpp"
 #include "src/support/format.hpp"
+#include "src/support/json.hpp"
 
 namespace automap {
 
@@ -45,16 +46,6 @@ std::string dot_escape(const std::string& s) {
     if (c == '"' || c == '\\' || c == '{' || c == '}' || c == '|' ||
         c == '<' || c == '>')
       out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
     out.push_back(c);
   }
   return out;

@@ -158,13 +158,13 @@ struct SearchOptions {
   /// from the canonical JSON codec like journal/metrics.
   ThreadPool* shared_pool = nullptr;
   /// Priority class for batches submitted to the shared pool (higher
-  /// drains first; deficit-round-robin across streams within a class).
+  /// drains first; round robin across streams within a class).
   /// Only meaningful with shared_pool; the service maps job priority onto
   /// it.
   int pool_priority = 0;
   /// Fair-share stream id for batches submitted to the shared pool: the
-  /// pool interleaves equal-priority batches from different streams
-  /// deficit-round-robin instead of draining them in arrival order. The
+  /// pool interleaves equal-priority batches from different streams, one
+  /// task per stream in turn, instead of draining them in arrival order. The
   /// service uses the job id; 0 (the default) is fine for searches that
   /// never compete. Runtime wiring, excluded from the canonical codec.
   std::uint64_t pool_stream = 0;

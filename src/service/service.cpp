@@ -6,6 +6,7 @@
 #include <exception>
 #include <filesystem>
 #include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -13,7 +14,6 @@
 #include "src/report/journal.hpp"
 #include "src/search/algorithms.hpp"
 #include "src/search/search.hpp"
-#include "src/service/fingerprint.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/durable.hpp"
 #include "src/support/error.hpp"
@@ -22,15 +22,8 @@
 
 namespace automap {
 
-namespace {
-
-namespace fs = std::filesystem;
-
-/// Everything a submit request carries, decoded once and shared by the
-/// submit handler, the job runner and store recovery.
-/// Largest accepted per-submit deadline (~366 days in milliseconds).
-constexpr double kMaxDeadlineMs = 31622400000.0;
-
+/// Everything a submit request carries, decoded once — when the request
+/// arrives or is read back from the store — and kept on its Job.
 struct SubmitSpec {
   std::string machine_text;
   std::string graph_text;
@@ -49,8 +42,32 @@ struct SubmitSpec {
   /// spelling the same configuration differently still collide.
   std::string options_json;
   std::string sim_json;
+  /// Request fingerprint — the result-cache key.
   std::uint64_t fingerprint = 0;
 };
+
+namespace {
+
+namespace fs = std::filesystem;
+
+/// Largest accepted per-submit deadline (~366 days in milliseconds).
+constexpr double kMaxDeadlineMs = 31622400000.0;
+
+/// FNV-1a 64-bit, continuing `state`, plus a terminator byte per chunk so
+/// chained tuples stay unambiguous: ("ab", "c") and ("a", "bc") hash
+/// differently. The fingerprints name cache files and index in-memory
+/// maps; they are not security boundaries.
+std::uint64_t hash_text(std::string_view text,
+                        std::uint64_t state = 0xcbf29ce484222325ULL) {
+  constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+  for (const char c : text) {
+    state ^= static_cast<unsigned char>(c);
+    state *= kFnvPrime;
+  }
+  state ^= 0xffU;
+  state *= kFnvPrime;
+  return state;
+}
 
 SubmitSpec parse_submit(const JsonValue& request) {
   SubmitSpec spec;
@@ -178,6 +195,36 @@ double steady_ms() {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// The op=result response body. `summary` is the CLI's summary line
+/// verbatim and `mapping` the exact bytes `search -o` writes, so daemon
+/// answers are byte-comparable to the one-shot path. Wall-clock time is
+/// excluded: responses must be byte-identical across runs.
+std::string result_payload(std::uint64_t id, const SearchResult& result,
+                           const TaskGraph& graph) {
+  const SearchStats& stats = result.stats;
+  std::string payload = "{\"type\":\"result\",\"job\":" +
+                        std::to_string(id) + ",\"algorithm\":\"" +
+                        json_escape(result.algorithm) + "\"";
+  payload += ",\"summary\":\"" +
+             json_escape(render_search_summary(result)) + "\"";
+  payload += ",\"best\":" + json_double(result.best_seconds);
+  payload += ",\"mapping\":\"" + json_escape(result.best.serialize()) +
+             "\"";
+  payload += ",\"describe\":\"" +
+             json_escape(result.best.describe(graph)) + "\"";
+  payload += ",\"stats\":{";
+  for (const SearchCounter& c : kSearchCounters)
+    payload += std::string("\"") + c.name +
+               "\":" + std::to_string(stats.*c.field) + ",";
+  payload += "\"degraded\":";
+  payload += stats.degraded ? "true" : "false";
+  payload += ",\"search_time_s\":" + json_double(stats.search_time_s);
+  payload += ",\"evaluation_time_s\":" +
+             json_double(stats.evaluation_time_s);
+  payload += "}}";
+  return payload;
 }
 
 /// The fixed op label set for the per-op latency histograms and error
@@ -374,6 +421,19 @@ void MappingService::touch_locked(Job& job) {
   job.last_served = ++serve_tick_;
 }
 
+void MappingService::set_store_bytes_locked(Job& job, std::size_t bytes) {
+  store_bytes_total_ += bytes;
+  store_bytes_total_ -= std::min(job.store_bytes, store_bytes_total_);
+  job.store_bytes = bytes;
+}
+
+std::size_t MappingService::queued_count_locked() const {
+  std::size_t queued = 0;
+  for (const auto& [id, job] : jobs_)
+    if (job.status == JobStatus::kQueued) ++queued;
+  return queued;
+}
+
 void MappingService::update_cache_gauges_locked() {
   m_result_cache_entries_->set(
       static_cast<double>(by_fingerprint_.size()));
@@ -391,8 +451,8 @@ void MappingService::evict_job_locked(std::uint64_t id) {
   write_tombstone(dir, "purge");
   std::error_code ec;
   fs::remove_all(dir, ec);
-  store_bytes_total_ -= std::min(job.store_bytes, store_bytes_total_);
-  if (const auto it = by_fingerprint_.find(job.fingerprint);
+  set_store_bytes_locked(job, 0);
+  if (const auto it = by_fingerprint_.find(job.spec->fingerprint);
       it != by_fingerprint_.end() && it->second == id) {
     by_fingerprint_.erase(it);
     m_result_cache_evictions_->inc();
@@ -466,13 +526,10 @@ void MappingService::note_io_timeout() { m_io_timeouts_->inc(); }
 void MappingService::note_idle_reaped() { m_idle_reaped_->inc(); }
 
 std::string MappingService::admission_error_locked() {
-  std::size_t queued = 0;
-  std::size_t running = 0;
-  for (const auto& [id, job] : jobs_) {
-    if (job.status == JobStatus::kQueued) ++queued;
-    if (job.status == JobStatus::kRunning) ++running;
-  }
-  const std::size_t inflight = queued + running;
+  const std::size_t queued = queued_count_locked();
+  std::size_t inflight = queued;
+  for (const auto& [id, job] : jobs_)
+    if (job.status == JobStatus::kRunning) ++inflight;
   const bool over_queued =
       config_.max_queued_jobs > 0 && queued >= config_.max_queued_jobs;
   const bool over_inflight =
@@ -498,47 +555,31 @@ std::string MappingService::admission_error_locked() {
 }
 
 void MappingService::on_deadline(std::uint64_t id) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) return;
   Job& job = it->second;
-  if (job.status == JobStatus::kQueued) {
+  const bool queued = job.status == JobStatus::kQueued;
+  // A non-empty reason means a client cancel raced ahead of the wheel's
+  // disarm — that cancellation already owns the job, so neither the token
+  // nor the expiry metric is touched.
+  if ((!queued && job.status != JobStatus::kRunning) ||
+      !job.cancel_reason.empty())
+    return;
+  job.cancel_reason = "deadline";
+  m_deadline_expired_->inc();
+  if (queued) {
     // Expire in place: the dir (request + any checkpoint) is kept under a
     // "keep" tombstone, so resubmitting the identical request revives the
     // job and resumes to the byte-identical result.
-    job.status = JobStatus::kCancelled;
-    if (job.cancel_reason.empty()) job.cancel_reason = "deadline";
-    write_tombstone(job_dir(id), "keep");
-    const double age_ms = recorder_.terminal(id, "expired", {});
-    m_job_duration_->observe(age_ms / 1000.0);
-    recorder_.service_event("deadline_expired",
-                            {{"job", std::to_string(id)}});
-    try {
-      save_checksummed(job_dir(id) + "/spans.json",
-                       recorder_.serialize(id), "spans");
-    } catch (const std::exception&) {
-    }
-    const std::size_t bytes = dir_bytes(job_dir(id));
-    store_bytes_total_ += bytes;
-    store_bytes_total_ -= std::min(job.store_bytes, store_bytes_total_);
-    job.store_bytes = bytes;
-    m_cancelled_->inc();
-    m_deadline_expired_->inc();
-    update_cache_gauges_locked();
-  } else if (job.status == JobStatus::kRunning &&
-             job.cancel_reason.empty()) {
+    finish_job(lock, id, {.status = JobStatus::kCancelled});
+  } else {
     // Same cooperative path as a client cancel: the search observes the
-    // token as a budget cut at the next task boundary and run_job settles
-    // the job as cancelled with its checkpoint on disk. A non-empty
-    // reason means a client cancel raced ahead of the wheel's disarm —
-    // that cancellation already owns the job, so neither the token nor
-    // the expiry metric is touched.
-    job.cancel_reason = "deadline";
+    // token as a budget cut at the next task boundary and run_job finishes
+    // the job as cancelled with its checkpoint on disk.
     job.cancel->store(true);
-    m_deadline_expired_->inc();
-    recorder_.service_event("deadline_expired",
-                            {{"job", std::to_string(id)}});
   }
+  recorder_.service_event("deadline_expired", {{"job", std::to_string(id)}});
 }
 
 bool MappingService::quarantine_path(const std::string& path) {
@@ -618,13 +659,13 @@ std::string MappingService::dispatch(const std::string& request_json,
 
 std::string MappingService::handle_submit(const JsonValue& request,
                                           const std::string& request_json) {
-  const SubmitSpec spec = parse_submit(request);
+  auto spec = std::make_shared<const SubmitSpec>(parse_submit(request));
   // Validate the full configuration before accepting: a malformed machine
   // or unknown algorithm is a bad_request now, not a failed job later.
-  (void)machine_from_string(spec.machine_text);
-  (void)task_graph_from_string(spec.graph_text);
-  AM_REQUIRE(find_search_algorithm(spec.algorithm) != nullptr,
-             "unknown algorithm '" + spec.algorithm + "' (expected " +
+  (void)machine_from_string(spec->machine_text);
+  (void)task_graph_from_string(spec->graph_text);
+  AM_REQUIRE(find_search_algorithm(spec->algorithm) != nullptr,
+             "unknown algorithm '" + spec->algorithm + "' (expected " +
                  std::string(search_algorithm_names()) + ")");
 
   std::lock_guard<std::mutex> lock(mutex_);
@@ -632,56 +673,18 @@ std::string MappingService::handle_submit(const JsonValue& request,
   // jobs answer instantly with zero new simulator runs; queued/running
   // ones dedupe onto the in-flight search; a cancelled one re-enqueues
   // and resumes from whatever checkpoint its cancelled run left behind.
-  for (auto& [id, job] : jobs_) {
-    if (job.fingerprint != spec.fingerprint) continue;
-    if (job.status == JobStatus::kFailed) continue;
-    if (job.status == JobStatus::kCancelled) {
-      if (std::string overloaded = admission_error_locked();
-          !overloaded.empty())
-        return overloaded;
-      job.status = JobStatus::kQueued;
-      job.cancel = std::make_shared<std::atomic<bool>>(false);
-      job.error.clear();
-      job.cancel_reason.clear();
-      // The revival's deadline (if any) replaces the expired one — a
-      // fresh window, armed below once the job is queued again. The new
-      // request text also replaces the persisted one: after a crash,
-      // recover_store_locked must re-arm the deadline this client was
-      // told was accepted, not the stale one from the first submission.
-      job.deadline_ms = spec.deadline_ms;
-      job.priority = spec.priority;
-      job.request_json = request_json;
-      fs::create_directories(job_dir(id));
-      std::error_code ec;
-      fs::remove(job_dir(id) + "/" + kTombstoneName, ec);
-      save_checksummed(job_dir(id) + "/request.json", job.request_json,
-                       "request");
-      const std::size_t bytes = dir_bytes(job_dir(id));
-      store_bytes_total_ += bytes;
-      store_bytes_total_ -= std::min(job.store_bytes, store_bytes_total_);
-      job.store_bytes = bytes;
-      m_result_cache_misses_->inc();
-      m_submitted_->inc();
-      update_cache_gauges_locked();
-      std::size_t queued = 0;
-      for (const auto& [jid, j] : jobs_)
-        if (j.status == JobStatus::kQueued) ++queued;
-      // Reopens the sealed timeline: the revival rides the same spans as
-      // a fresh submission, flagged so traces show the job came back.
-      recorder_.transition(id, "queued", -1,
-                           {{"revived", "true"},
-                            {"queue_depth", std::to_string(queued)}});
-      if (job.deadline_ms > 0) wheel_->arm(id, deadline_delay(job.deadline_ms));
-      work_cv_.notify_one();
-      return "{\"type\":\"submitted\",\"job\":" + std::to_string(id) +
-             ",\"status\":\"queued\",\"cached\":false}";
-    }
+  const auto same = std::find_if(jobs_.begin(), jobs_.end(), [&](auto& e) {
+    return e.second.spec->fingerprint == spec->fingerprint &&
+           e.second.status != JobStatus::kFailed;
+  });
+  if (same != jobs_.end() && same->second.status != JobStatus::kCancelled) {
+    Job& job = same->second;
     const bool done = job.status == JobStatus::kDone;
     if (done) {
       touch_locked(job);
       m_result_cache_hits_->inc();
     }
-    return "{\"type\":\"submitted\",\"job\":" + std::to_string(id) +
+    return "{\"type\":\"submitted\",\"job\":" + std::to_string(job.id) +
            ",\"status\":\"" + status_name(job.status) +
            "\",\"cached\":" + (done ? "true" : "false") + "}";
   }
@@ -689,39 +692,57 @@ std::string MappingService::handle_submit(const JsonValue& request,
   if (std::string overloaded = admission_error_locked();
       !overloaded.empty())
     return overloaded;
-
-  Job job;
-  job.id = next_id_++;
-  job.priority = spec.priority;
-  job.request_json = request_json;
-  job.fingerprint = spec.fingerprint;
-  job.algorithm = spec.algorithm;
-  job.want_journal = spec.want_journal;
-  job.reuse_measurements = spec.reuse_measurements;
-  job.deadline_ms = spec.deadline_ms;
-  job.cancel = std::make_shared<std::atomic<bool>>(false);
-  fs::create_directories(job_dir(job.id));
-  save_checksummed(job_dir(job.id) + "/request.json", request_json,
-                   "request");
-  job.store_bytes = dir_bytes(job_dir(job.id));
-  store_bytes_total_ += job.store_bytes;
-  const std::uint64_t id = job.id;
-  jobs_.emplace(id, std::move(job));
-  m_submitted_->inc();
-  m_result_cache_misses_->inc();
-  enforce_budgets_locked();
-  std::size_t queued = 0;
-  for (const auto& [jid, j] : jobs_)
-    if (j.status == JobStatus::kQueued) ++queued;
-  recorder_.transition(
-      id, "submitted", -1,
-      {{"fingerprint", "\"" + hex_u64(spec.fingerprint) + "\""}});
-  recorder_.transition(id, "queued", -1,
-                       {{"queue_depth", std::to_string(queued)}});
-  if (spec.deadline_ms > 0) wheel_->arm(id, deadline_delay(spec.deadline_ms));
-  work_cv_.notify_one();
+  // A revival takes the new request whole: its deadline (if any) is a
+  // fresh window, and the persisted request.json is the one this client
+  // was told was accepted, so recovery after a crash re-arms that one.
+  const bool revive = same != jobs_.end();
+  const std::uint64_t id = revive ? same->first : next_id_++;
+  enqueue_locked(id, std::move(spec),
+                 revive ? Origin::kRevived : Origin::kSubmitted, request_json);
   return "{\"type\":\"submitted\",\"job\":" + std::to_string(id) +
          ",\"status\":\"queued\",\"cached\":false}";
+}
+
+void MappingService::enqueue_locked(std::uint64_t id,
+                                    std::shared_ptr<const SubmitSpec> spec,
+                                    Origin origin,
+                                    const std::string& request_json) {
+  const std::string dir = job_dir(id);
+  if (origin != Origin::kRecovered) {
+    // Persisted before jobs_ changes, so a failed write queues nothing.
+    fs::create_directories(dir);
+    std::error_code ec;
+    fs::remove(dir + "/" + kTombstoneName, ec);
+    save_checksummed(dir + "/request.json", request_json, "request");
+  }
+  Job& job = jobs_[id];
+  job.id = id;
+  job.spec = std::move(spec);
+  job.status = JobStatus::kQueued;
+  job.cancel = std::make_shared<std::atomic<bool>>(false);
+  job.error.clear();
+  job.cancel_reason.clear();
+  std::vector<SpanAttr> attrs;
+  if (origin == Origin::kRecovered) {
+    attrs.push_back({"recovered", "true"});
+  } else {
+    set_store_bytes_locked(job, dir_bytes(dir));
+    m_submitted_->inc();
+    m_result_cache_misses_->inc();
+    enforce_budgets_locked();
+    if (origin == Origin::kSubmitted)
+      recorder_.transition(
+          id, "submitted", -1,
+          {{"fingerprint", "\"" + hex_u64(job.spec->fingerprint) + "\""}});
+    // A revival reopens the sealed timeline: it rides the same spans as a
+    // fresh submission, flagged so traces show the job came back.
+    if (origin == Origin::kRevived) attrs.push_back({"revived", "true"});
+    attrs.push_back({"queue_depth", std::to_string(queued_count_locked())});
+  }
+  recorder_.transition(id, "queued", -1, std::move(attrs));
+  if (job.spec->deadline_ms > 0)
+    wheel_->arm(id, deadline_delay(job.spec->deadline_ms));
+  work_cv_.notify_one();
 }
 
 std::string MappingService::handle_status(const JsonValue& request) {
@@ -790,7 +811,7 @@ std::string MappingService::handle_journal(const JsonValue& request) {
     const auto it = jobs_.find(id);
     if (it == jobs_.end())
       return wire_error("not_found", "no job " + id_text);
-    if (!it->second.want_journal)
+    if (!it->second.spec->want_journal)
       return wire_error("bad_state",
                         "job " + id_text + " was submitted without "
                         "\"journal\":true");
@@ -826,48 +847,29 @@ std::string MappingService::handle_journal(const JsonValue& request) {
 
 std::string MappingService::handle_cancel(const JsonValue& request) {
   const auto [id, id_text] = require_job_field(request);
-  const std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
   const auto it = jobs_.find(id);
   if (it == jobs_.end())
     return wire_error("not_found", "no job " + id_text);
   Job& job = it->second;
-  if (job.status == JobStatus::kQueued) {
-    job.status = JobStatus::kCancelled;
-    if (job.cancel_reason.empty()) job.cancel_reason = "client";
-    wheel_->disarm(job.id);
-    m_cancelled_->inc();
-    const double age_ms =
-        recorder_.terminal(job.id, "cancelled", {{"queued", "true"}});
-    m_job_duration_->observe(age_ms / 1000.0);
-    // Tombstone, then delete: if remove_all fails partway, restart
-    // scanning finds the tombstone and finishes the cleanup instead of
-    // reviving a half-deleted job.
-    const std::string dir = job_dir(job.id);
-    write_tombstone(dir, "purge");
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-    const std::size_t remaining = fs::exists(dir, ec) ? dir_bytes(dir) : 0;
-    store_bytes_total_ += remaining;
-    store_bytes_total_ -=
-        std::min(job.store_bytes, store_bytes_total_);
-    job.store_bytes = remaining;
-    update_cache_gauges_locked();
+  const bool queued = job.status == JobStatus::kQueued;
+  if (!queued && job.status != JobStatus::kRunning)
+    return wire_error("bad_state",
+                      "only queued or running jobs can be cancelled; job " +
+                          id_text + " is " + status_name(job.status));
+  if (job.cancel_reason.empty()) job.cancel_reason = "client";
+  if (queued) {
+    finish_job(lock, id, {.status = JobStatus::kCancelled});
     return "{\"type\":\"cancelled\",\"job\":" + id_text +
            ",\"status\":\"cancelled\"}";
   }
-  if (job.status == JobStatus::kRunning) {
-    // Cooperative: the worker's search observes the token as a budget cut
-    // at its next task boundary, then marks the job cancelled. The last
-    // task-boundary checkpoint stays on disk for a later resume.
-    if (job.cancel_reason.empty()) job.cancel_reason = "client";
-    wheel_->disarm(job.id);
-    job.cancel->store(true);
-    return "{\"type\":\"cancelled\",\"job\":" + id_text +
-           ",\"status\":\"cancelling\"}";
-  }
-  return wire_error("bad_state",
-                    "only queued or running jobs can be cancelled; job " +
-                        id_text + " is " + status_name(job.status));
+  // Cooperative: the worker's search observes the token as a budget cut
+  // at its next task boundary, then marks the job cancelled. The last
+  // task-boundary checkpoint stays on disk for a later resume.
+  wheel_->disarm(id);
+  job.cancel->store(true);
+  return "{\"type\":\"cancelled\",\"job\":" + id_text +
+         ",\"status\":\"cancelling\"}";
 }
 
 std::string MappingService::handle_jobs() {
@@ -879,8 +881,8 @@ std::string MappingService::handle_jobs() {
     first = false;
     out += "{\"job\":" + std::to_string(id) + ",\"status\":\"" +
            status_name(job.status) + "\",\"algorithm\":\"" +
-           json_escape(job.algorithm) +
-           "\",\"priority\":" + std::to_string(job.priority) +
+           json_escape(job.spec->algorithm) +
+           "\",\"priority\":" + std::to_string(job.spec->priority) +
            ",\"age_ms\":" + json_double(recorder_.age_ms(id)) +
            ",\"queue_wait_ms\":" +
            json_double(recorder_.queue_wait_ms(id)) + ",\"span\":\"" +
@@ -894,9 +896,9 @@ std::uint64_t MappingService::claim_next_locked() {
   int best_priority = 0;
   for (auto& [id, job] : jobs_) {
     if (job.status != JobStatus::kQueued) continue;
-    if (best == 0 || job.priority > best_priority) {
+    if (best == 0 || job.spec->priority > best_priority) {
       best = id;  // map iteration is id-ascending: FIFO within a class
-      best_priority = job.priority;
+      best_priority = job.spec->priority;
     }
   }
   if (best != 0) jobs_.at(best).status = JobStatus::kRunning;
@@ -908,12 +910,8 @@ void MappingService::worker_loop(int worker) {
     std::uint64_t id = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [this] {
-        if (stopping_) return true;
-        for (const auto& [jid, job] : jobs_)
-          if (job.status == JobStatus::kQueued) return true;
-        return false;
-      });
+      work_cv_.wait(lock,
+                    [this] { return stopping_ || queued_count_locked() > 0; });
       if (stopping_) return;
       id = claim_next_locked();
     }
@@ -936,93 +934,38 @@ void MappingService::drain() {
 }
 
 void MappingService::run_job(std::uint64_t id, int worker) {
-  std::string request_json;
+  std::shared_ptr<const SubmitSpec> spec;
   std::shared_ptr<std::atomic<bool>> cancel;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const Job& job = jobs_.at(id);
-    request_json = job.request_json;
+    spec = job.spec;
     cancel = job.cancel;
-    std::size_t queued = 0;
-    for (const auto& [jid, j] : jobs_)
-      if (j.status == JobStatus::kQueued) ++queued;
     // Closing the "queued" span IS the queue-wait measurement.
     const double waited_ms = recorder_.transition(
         id, "admitted", worker,
-        {{"queue_depth", std::to_string(queued)}});
+        {{"queue_depth", std::to_string(queued_count_locked())}});
     m_queue_wait_->observe(waited_ms / 1000.0);
     recorder_.transition(id, "running", worker);
   }
 
   const std::string dir = job_dir(id);
-  // Re-measures the job dir and lands the final status under the mutex;
-  // shared by the done / cancelled / failed outcomes.
-  const auto settle = [&](JobStatus status, const char* error,
-                          std::string payload, bool index_result,
-                          std::uint64_t bucket_written,
-                          std::uint64_t sim_runs) {
-    // Terminal span: how the job ended, finer-grained than JobStatus —
-    // cancellation splits into client "cancelled" vs deadline "expired".
-    const char* span_name = "finished";
-    if (status == JobStatus::kFailed) span_name = "failed";
-    if (status == JobStatus::kCancelled) {
-      std::string reason;
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        reason = jobs_.at(id).cancel_reason;
-      }
-      span_name = reason == "deadline" ? "expired" : "cancelled";
-    }
-    const double age_ms = recorder_.terminal(
-        id, span_name,
-        {{"store_bytes", std::to_string(dir_bytes(dir))}});
-    // Persist the sealed timeline next to the job's other artifacts so a
-    // restarted daemon still answers `trace`. Best-effort: observability
-    // must never fail a job.
-    try {
-      std::error_code ec;
-      if (fs::exists(dir, ec))
-        save_checksummed(dir + "/spans.json", recorder_.serialize(id),
-                         "spans");
-    } catch (const std::exception&) {
-    }
-    const std::size_t bytes = dir_bytes(dir);
-    const std::lock_guard<std::mutex> lock(mutex_);
-    m_job_duration_->observe(age_ms / 1000.0);
-    wheel_->disarm(id);
-    Job& job = jobs_.at(id);
-    job.status = status;
-    if (error != nullptr) job.error = error;
-    store_bytes_total_ += bytes;
-    store_bytes_total_ -= std::min(job.store_bytes, store_bytes_total_);
-    job.store_bytes = bytes;
-    if (index_result) {
-      job.result_json = std::move(payload);
-      by_fingerprint_[job.fingerprint] = id;
-      touch_locked(job);
-      m_completed_->inc();
-    }
-    if (bucket_written != 0) touch_bucket_locked(bucket_written);
-    m_sim_runs_->inc(sim_runs);
-    enforce_budgets_locked();
-  };
-
+  Outcome outcome{.status = JobStatus::kCancelled};
   try {
-    const SubmitSpec spec = parse_submit(parse_json(request_json));
     // The simulator keeps references; the job owns machine and graph for
     // the duration of the search.
-    const MachineModel machine = machine_from_string(spec.machine_text);
-    const TaskGraph graph = task_graph_from_string(spec.graph_text);
+    const MachineModel machine = machine_from_string(spec->machine_text);
+    const TaskGraph graph = task_graph_from_string(spec->graph_text);
     const SearchAlgorithmInfo* algorithm =
-        find_search_algorithm(spec.algorithm);
+        find_search_algorithm(spec->algorithm);
     AM_REQUIRE(algorithm != nullptr,
-               "unknown algorithm '" + spec.algorithm + "'");
+               "unknown algorithm '" + spec->algorithm + "'");
 
-    SearchOptions options = spec.options;
+    SearchOptions options = spec->options;
     options.shared_pool = &pool_;
-    options.pool_priority = spec.priority;
-    // Fair share: batches from different jobs at equal priority
-    // interleave deficit-round-robin on the shared pool, keyed by job id.
+    options.pool_priority = spec->priority;
+    // Fair share: batches from different jobs at equal priority take
+    // turns on the shared pool, one task per job id.
     options.pool_stream = id;
     options.cancel = cancel.get();
     options.checkpoint_path = dir + "/checkpoint";
@@ -1047,14 +990,14 @@ void MappingService::run_job(std::uint64_t id, int worker) {
     }
 
     std::optional<Journal> journal;
-    if (spec.want_journal) journal.emplace(dir + "/journal.jsonl");
+    if (spec->want_journal) journal.emplace(dir + "/journal.jsonl");
     MetricsRegistry job_metrics;
     options.journal = journal.has_value() ? &*journal : nullptr;
     options.metrics = &job_metrics;
 
     std::uint64_t bucket = 0;
-    if (spec.reuse_measurements) {
-      bucket = bucket_key(spec);
+    if (spec->reuse_measurements) {
+      bucket = bucket_key(*spec);
       options.export_profiles_db = true;
       DurableLoad seeded = load_checksummed(bucket_path(bucket));
       if (seeded.status == DurableLoad::Status::kOk) {
@@ -1075,98 +1018,114 @@ void MappingService::run_job(std::uint64_t id, int worker) {
       options.export_profiles_db = false;
     }
 
-    SimOptions sim_options = spec.sim;
+    SimOptions sim_options = spec->sim;
     sim_options.metrics = &job_metrics;
     const Simulator sim(machine, graph, sim_options);
     const SearchResult result = algorithm->run(sim, options);
 
-    const Counter* sim_runs = job_metrics.counter(
-        "automap_sim_runs_total", "Simulator runs executed", false);
-
-    if (cancel->load()) {
-      // Cancelled mid-run: the search cut at a task boundary and its last
-      // task-boundary checkpoint is on disk. Keep the dir (tombstoned
-      // "keep" so a restart recovers the job as cancelled instead of
-      // re-running it) and poison nothing: no result payload, no
-      // fingerprint index entry, no eval-cache bucket write.
-      write_tombstone(dir, "keep");
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        m_cancelled_->inc();
+    outcome.sim_runs =
+        job_metrics
+            .counter("automap_sim_runs_total", "Simulator runs executed", false)
+            ->value();
+    // Cancelled mid-run: the search cut at a task boundary and its last
+    // task-boundary checkpoint is on disk. Nothing is poisoned: no result
+    // payload, no fingerprint index entry, no eval-cache bucket write.
+    if (!cancel->load()) {
+      std::string payload = result_payload(id, result, graph);
+      save_checksummed(dir + "/result.json", payload, "result");
+      if (spec->reuse_measurements && !result.profiles_db.empty()) {
+        // The export includes imported entries, so the fresh export IS the
+        // union of the bucket and this job's new measurements.
+        save_checksummed(bucket_path(bucket), result.profiles_db, "bucket");
+        outcome.bucket_written = bucket;
       }
-      settle(JobStatus::kCancelled, nullptr, {}, /*index_result=*/false,
-             /*bucket_written=*/0, sim_runs->value());
-      work_cv_.notify_all();
-      return;
+      outcome.status = JobStatus::kDone;
+      outcome.result_json = std::move(payload);
     }
-
-    // The response payload. `summary` is the CLI's summary line verbatim
-    // and `mapping` the exact bytes `search -o` writes, so daemon answers
-    // are byte-comparable to the one-shot path. wall-clock time is
-    // excluded: responses must be byte-identical across runs.
-    const SearchStats& stats = result.stats;
-    std::string payload = "{\"type\":\"result\",\"job\":" +
-                          std::to_string(id) + ",\"algorithm\":\"" +
-                          json_escape(result.algorithm) + "\"";
-    payload += ",\"summary\":\"" +
-               json_escape(render_search_summary(result)) + "\"";
-    payload += ",\"best\":" + json_double(result.best_seconds);
-    payload += ",\"mapping\":\"" + json_escape(result.best.serialize()) +
-               "\"";
-    payload += ",\"describe\":\"" +
-               json_escape(result.best.describe(graph)) + "\"";
-    payload += ",\"stats\":{";
-    for (const SearchCounter& c : kSearchCounters)
-      payload += std::string("\"") + c.name +
-                 "\":" + std::to_string(stats.*c.field) + ",";
-    payload += "\"degraded\":";
-    payload += stats.degraded ? "true" : "false";
-    payload += ",\"search_time_s\":" + json_double(stats.search_time_s);
-    payload += ",\"evaluation_time_s\":" +
-               json_double(stats.evaluation_time_s);
-    payload += "}}";
-
-    save_checksummed(dir + "/result.json", payload, "result");
-    std::uint64_t bucket_written = 0;
-    if (spec.reuse_measurements && !result.profiles_db.empty()) {
-      // The export includes imported entries, so the fresh export IS the
-      // union of the bucket and this job's new measurements.
-      save_checksummed(bucket_path(bucket), result.profiles_db, "bucket");
-      bucket_written = bucket;
-    }
-
-    settle(JobStatus::kDone, nullptr, std::move(payload),
-           /*index_result=*/true, bucket_written, sim_runs->value());
   } catch (const std::exception& e) {
-    if (cancel->load()) {
-      // A cancel can surface as an exception (e.g. the cut left no
-      // profilable finalist); the user asked for cancellation, so report
-      // that, not a failure.
-      write_tombstone(dir, "keep");
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        m_cancelled_->inc();
-      }
-      settle(JobStatus::kCancelled, nullptr, {}, /*index_result=*/false,
-             /*bucket_written=*/0, /*sim_runs=*/0);
-    } else {
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        m_failed_->inc();
-      }
-      settle(JobStatus::kFailed, e.what(), {}, /*index_result=*/false,
-             /*bucket_written=*/0, /*sim_runs=*/0);
-    }
+    // A cancel can surface as an exception (e.g. the cut left no
+    // profilable finalist); the user asked for cancellation, so report
+    // that, not a failure.
+    outcome = cancel->load()
+                  ? Outcome{.status = JobStatus::kCancelled}
+                  : Outcome{.status = JobStatus::kFailed, .error = e.what()};
+  }
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    finish_job(lock, id, std::move(outcome));
   }
   work_cv_.notify_all();
 }
 
+void MappingService::finish_job(std::unique_lock<std::mutex>& lock,
+                                std::uint64_t id, Outcome outcome) {
+  // std::map references outlive the unlock below: nothing erases a job
+  // that is still queued or running.
+  Job& job = jobs_.at(id);
+  const bool was_running = job.status == JobStatus::kRunning;
+  const bool cancelled = outcome.status == JobStatus::kCancelled;
+  const bool expired = cancelled && job.cancel_reason == "deadline";
+  // A client cancel of a queued job deletes it; every other cancel keeps
+  // the dir (request and any checkpoint) for a byte-identical resume.
+  const bool purge = cancelled && !was_running && !expired;
+  // An expired deadline already left the wheel, which must not be called
+  // back for the id it is firing.
+  if (!expired) wheel_->disarm(id);
+  // Terminal span: how the job ended, finer-grained than JobStatus —
+  // cancellation splits into client "cancelled" vs deadline "expired".
+  const char* span = outcome.status == JobStatus::kDone     ? "finished"
+                     : outcome.status == JobStatus::kFailed ? "failed"
+                     : expired                              ? "expired"
+                                                            : "cancelled";
+  const std::string dir = job_dir(id);
+
+  // A running job's status stays `running` until the end, so nothing else
+  // touches it while its disk I/O runs outside mutex_.
+  if (was_running) lock.unlock();
+  // Tombstone before any destructive step: a crash mid-delete leaves a
+  // dir restart finishes cleaning; a "keep" dir recovers as cancelled.
+  if (cancelled) write_tombstone(dir, purge ? "purge" : "keep");
+  std::vector<SpanAttr> attrs;
+  if (was_running)
+    attrs.push_back({"store_bytes", std::to_string(dir_bytes(dir))});
+  if (purge) attrs.push_back({"queued", "true"});
+  const double age_ms = recorder_.terminal(id, span, std::move(attrs));
+  std::error_code ec;
+  if (purge) {
+    fs::remove_all(dir, ec);
+  } else {
+    // Persist the sealed timeline next to the job's other artifacts so a
+    // restarted daemon still answers `trace`. Best-effort: observability
+    // must never fail a job.
+    try {
+      if (fs::exists(dir, ec))
+        save_checksummed(dir + "/spans.json", recorder_.serialize(id),
+                         "spans");
+    } catch (const std::exception&) {
+    }
+  }
+  const std::size_t bytes = dir_bytes(dir);
+  if (was_running) lock.lock();
+
+  job.status = outcome.status;
+  job.error = std::move(outcome.error);
+  set_store_bytes_locked(job, bytes);
+  m_job_duration_->observe(age_ms / 1000.0);
+  if (outcome.status == JobStatus::kDone) {
+    job.result_json = std::move(outcome.result_json);
+    by_fingerprint_[job.spec->fingerprint] = id;
+    touch_locked(job);
+    m_completed_->inc();
+  }
+  if (outcome.status == JobStatus::kFailed) m_failed_->inc();
+  if (cancelled) m_cancelled_->inc();
+  if (outcome.bucket_written != 0) touch_bucket_locked(outcome.bucket_written);
+  m_sim_runs_->inc(outcome.sim_runs);
+  enforce_budgets_locked();
+}
+
 void MappingService::recover_store_locked() {
   const fs::path jobs_root = fs::path(config_.store_dir) / "jobs";
-  // Deadlines are armed only after the recovery loop finishes: arming a
-  // job before (or in the same statement as) its jobs_.emplace leaves a
-  // window where the expiry finds no job and is dropped forever.
-  std::vector<std::pair<std::uint64_t, std::chrono::milliseconds>> arms;
   std::error_code ec;
   for (const fs::directory_entry& entry :
        fs::directory_iterator(jobs_root, ec)) {
@@ -1200,33 +1159,27 @@ void MappingService::recover_store_locked() {
       quarantine_path(entry.path().string());
       continue;
     }
-    Job job;
+    std::shared_ptr<const SubmitSpec> spec;
     try {
-      const SubmitSpec spec = parse_submit(parse_json(request.payload));
-      job.id = id;
-      job.priority = spec.priority;
-      job.request_json = request.payload;
-      job.fingerprint = spec.fingerprint;
-      job.algorithm = spec.algorithm;
-      job.want_journal = spec.want_journal;
-      job.reuse_measurements = spec.reuse_measurements;
-      job.deadline_ms = spec.deadline_ms;
+      spec = std::make_shared<const SubmitSpec>(
+          parse_submit(parse_json(request.payload)));
     } catch (const std::exception&) {
       // Checksum intact but not a valid submit (e.g. hand-edited):
       // quarantine rather than abort the daemon.
       quarantine_path(entry.path().string());
       continue;
     }
-    job.cancel = std::make_shared<std::atomic<bool>>(false);
-    if (keep_cancelled) {
-      job.status = JobStatus::kCancelled;
-    } else {
+    // A "keep" tombstone recovers as cancelled, a valid result as done;
+    // anything else re-enqueues below.
+    JobStatus status = JobStatus::kCancelled;
+    std::string result_json;
+    if (!keep_cancelled) {
       DurableLoad result =
           load_checksummed((entry.path() / "result.json").string());
       if (result.status == DurableLoad::Status::kOk) {
-        job.status = JobStatus::kDone;
-        job.result_json = std::move(result.payload);
-        by_fingerprint_[job.fingerprint] = id;
+        status = JobStatus::kDone;
+        result_json = std::move(result.payload);
+        by_fingerprint_[spec->fingerprint] = id;
       } else {
         // Missing: interrupted before completing — re-enqueue; run_job
         // resumes from the checkpoint the interrupted run left (if any).
@@ -1234,7 +1187,7 @@ void MappingService::recover_store_locked() {
         // way; the checkpoint makes the re-run byte-identical and cheap.
         if (result.status == DurableLoad::Status::kCorrupt)
           quarantine_path((entry.path() / "result.json").string());
-        job.status = JobStatus::kQueued;
+        status = JobStatus::kQueued;
       }
     }
     // Restore the persisted span timeline; its timestamps shift so the
@@ -1255,19 +1208,21 @@ void MappingService::recover_store_locked() {
         quarantine_path(spans_path);
       }
     }
-    if (job.status == JobStatus::kQueued)
-      recorder_.transition(id, "queued", -1, {{"recovered", "true"}});
-    job.store_bytes = dir_bytes(entry.path().string());
-    store_bytes_total_ += job.store_bytes;
     next_id_ = std::max(next_id_, id + 1);
     // A recovered queued job re-arms a fresh deadline window from daemon
     // start — the original submission instant is gone with the crash, and
     // expiring everything immediately would punish the restart itself.
-    if (job.status == JobStatus::kQueued && job.deadline_ms > 0)
-      arms.emplace_back(id, deadline_delay(job.deadline_ms));
-    jobs_.emplace(id, std::move(job));
+    if (status == JobStatus::kQueued) {
+      enqueue_locked(id, std::move(spec), Origin::kRecovered, {});
+    } else {
+      Job& job = jobs_[id];
+      job.id = id;
+      job.spec = std::move(spec);
+      job.status = status;
+      job.result_json = std::move(result_json);
+    }
+    set_store_bytes_locked(jobs_.at(id), dir_bytes(entry.path().string()));
   }
-  for (const auto& [id, delay] : arms) wheel_->arm(id, delay);
   // Deterministic LRU seed: recovered jobs rank oldest-first by id, so
   // eviction order after a restart does not depend on directory iteration
   // order.

@@ -12,10 +12,16 @@
 // workers' candidate batches land on the single shared ThreadPool, where
 // SearchOptions::pool_priority (from the request's `priority`) decides
 // which job's batch drains first when they compete — and within one
-// priority class the pool runs deficit-round-robin across job ids
+// priority class the pool takes one task per job id in turn
 // (SearchOptions::pool_stream), so a huge submission cannot starve later
 // equal-priority ones. Queued jobs start in priority order (FIFO within a
 // class).
+//
+// Job lifecycle: a request is parsed once, when it arrives (submit) or is
+// read back from the store (recovery), and the job keeps that parse.
+// enqueue_locked is the one way into `queued` — new, revived and
+// recovered jobs alike — and finish_job the one way out into done,
+// failed or cancelled, whether the job was queued or running.
 //
 // Cancellation: a queued job cancels immediately (its store dir is
 // tombstoned and purged). A *running* job cancels cooperatively — the
@@ -66,6 +72,7 @@
 namespace automap {
 
 struct JsonValue;
+struct SubmitSpec;
 
 struct ServiceConfig {
   /// Job-store/cache directory (created if missing; probed with
@@ -153,15 +160,10 @@ class MappingService {
 
   struct Job {
     std::uint64_t id = 0;
-    int priority = 0;
     JobStatus status = JobStatus::kQueued;
-    /// The submit payload, kept verbatim for persistence and re-parsing.
-    std::string request_json;
-    /// Request fingerprint — the result-cache key.
-    std::uint64_t fingerprint = 0;
-    std::string algorithm;  // registry label once known, name before
-    bool want_journal = false;
-    bool reuse_measurements = false;
+    /// The submit request as parsed when it arrived (at submit, revival
+    /// or store recovery). Shared so run_job reads it outside mutex_.
+    std::shared_ptr<const SubmitSpec> spec;
     /// Completed response payload (op=result body) or failure message.
     std::string result_json;
     std::string error;
@@ -173,15 +175,24 @@ class MappingService {
     /// cancel op, "deadline" for an expired per-submit deadline_ms.
     /// Reported in the `status` response's "reason" field.
     std::string cancel_reason;
-    /// Per-submit wall-clock deadline; 0 = none. Armed on the deadline
-    /// wheel at enqueue (and re-armed fresh on recovery/revival).
-    double deadline_ms = 0;
     /// Last tick this job's result was served (completion, result-cache
     /// hit, or result fetch) — the LRU key for eviction.
     std::uint64_t last_served = 0;
     /// Bytes this job's store dir currently holds (request, checkpoint,
     /// journal, result). Re-measured when the job finishes.
     std::size_t store_bytes = 0;
+  };
+
+  /// Where a job entering `queued` came from.
+  enum class Origin { kSubmitted, kRevived, kRecovered };
+
+  /// How a job ended, as handed to finish_job.
+  struct Outcome {
+    JobStatus status;
+    std::string error;                 // kFailed: the failure message
+    std::string result_json;           // kDone: the op=result payload
+    std::uint64_t bucket_written = 0;  // eval-cache bucket this job wrote
+    std::uint64_t sim_runs = 0;
   };
 
   [[nodiscard]] static const char* status_name(JobStatus status);
@@ -205,9 +216,27 @@ class MappingService {
   [[nodiscard]] std::string handle_jobs();
 
   /// Runs one job to completion (no service mutex held during the search)
-  /// and stores + persists its outcome. `worker` tags the job's running
+  /// and hands its outcome to finish_job. `worker` tags the job's running
   /// span with its lane in the flight recorder.
   void run_job(std::uint64_t id, int worker);
+  /// The one way into `queued`: stores `spec` on job `id` (creating the
+  /// entry for a new job), hands it a fresh cancel token, persists
+  /// `request_json` as request.json unless the job was recovered from it,
+  /// records the `queued` span and arms the deadline. mutex_ held.
+  void enqueue_locked(std::uint64_t id, std::shared_ptr<const SubmitSpec> spec,
+                      Origin origin, const std::string& request_json);
+  /// The one way out of `queued` or `running`: lands the status, writes
+  /// the tombstone of a cancel ("purge" for a queued client cancel, "keep"
+  /// otherwise), seals the timeline and persists it, re-measures the job
+  /// dir, bumps the outcome metrics, indexes a result and enforces the
+  /// budgets. Called with `lock` held on mutex_; for a running job the
+  /// lock is released around the disk I/O.
+  void finish_job(std::unique_lock<std::mutex>& lock, std::uint64_t id,
+                  Outcome outcome);
+  /// Sets `job`'s share of the store-bytes total to `bytes`. mutex_ held.
+  void set_store_bytes_locked(Job& job, std::size_t bytes);
+  /// Jobs in `queued`. mutex_ held.
+  [[nodiscard]] std::size_t queued_count_locked() const;
   /// Picks the highest-priority queued job (FIFO within a class) and
   /// marks it running; 0 when none. mutex_ held by caller.
   [[nodiscard]] std::uint64_t claim_next_locked();

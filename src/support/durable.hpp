@@ -28,8 +28,8 @@
 namespace automap {
 
 /// Plain FNV-1a 64-bit over raw bytes (no chunk terminator — this is the
-/// checksum primitive, distinct from the chained tuple fingerprints in
-/// src/service/fingerprint.hpp).
+/// checksum primitive, distinct from the chained tuple fingerprints the
+/// service computes in src/service/service.cpp).
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes);
 
 /// `payload` plus the checksum trailer line.

@@ -77,28 +77,20 @@ void ThreadPool::post_locked(std::function<void()>&& task, int priority,
 }
 
 std::function<void()> ThreadPool::pop_locked() {
-  // Deficit-round-robin within the highest priority class: each pop visits
-  // the front stream, deposits one quantum, serves one unit-cost task, and
-  // rotates the stream to the back once its deficit runs dry — so
+  // Round robin within the highest priority class: each pop serves one
+  // task from the front stream and moves that stream to the back, so
   // concurrent equal-priority streams alternate instead of draining in
-  // arrival order. An emptied stream leaves the rotation and forfeits any
-  // residual deficit (DRR's no-credit-while-idle rule).
-  constexpr std::size_t kQuantum = 1;  // task units deposited per visit
-  constexpr std::size_t kTaskCost = 1;
+  // arrival order. An emptied stream leaves the rotation.
   const auto bucket = queue_.begin();  // highest priority class
   ClassQueue& cls = bucket->second;
   StreamQueue& sq = cls.rotation.front();
-  sq.deficit += kQuantum;
   std::function<void()> task = std::move(sq.tasks.front());
   sq.tasks.pop_front();
-  sq.deficit -= kTaskCost;
-  if (sq.tasks.empty()) {
+  if (sq.tasks.empty())
     cls.rotation.pop_front();
-  } else if (sq.deficit < kTaskCost && cls.rotation.size() > 1) {
-    sq.deficit = 0;
+  else if (cls.rotation.size() > 1)
     cls.rotation.splice(cls.rotation.end(), cls.rotation,
                         cls.rotation.begin());
-  }
   if (cls.rotation.empty()) queue_.erase(bucket);
   return task;
 }

@@ -11,9 +11,8 @@
 //
 // Scheduling: tasks queue per (priority class, stream). Priority classes
 // are strict — the highest class always drains first. *Within* a class the
-// pool runs deficit-round-robin across streams (one deficit quantum per
-// visit, one task per quantum), so two jobs submitting batches at equal
-// priority interleave their work instead of the earlier, larger submission
+// pool round-robins across streams, one task per stream per turn, so two
+// jobs submitting batches at equal priority interleave their work instead of the earlier, larger submission
 // occupying every worker until it finishes. A stream is any caller-chosen
 // id — the mapping service uses the job id — and stream 0 is the default
 // for callers that never compete.
@@ -55,7 +54,7 @@ class ThreadPool {
   /// must not call parallel_for on the same pool. Concurrent calls from
   /// *different* threads are safe and share the workers; `priority` picks
   /// which call's helpers drain first when they compete (higher first,
-  /// deficit-round-robin across `stream` ids within a class). The caller
+  /// round robin across `stream` ids within a class). The caller
   /// always participates regardless of priority, so a low-priority call
   /// makes progress even under a steady stream of high-priority work.
   void parallel_for(std::size_t n,
@@ -85,27 +84,21 @@ class ThreadPool {
   [[nodiscard]] static int hardware_threads();
 
  private:
-  /// One stream's backlog within a priority class, plus its DRR deficit.
+  /// One stream's backlog within a priority class.
   struct StreamQueue {
     std::uint64_t stream = 0;
     std::deque<std::function<void()>> tasks;
-    /// Deficit counter in task units. Each rotation visit deposits one
-    /// quantum; a task costs one unit. With today's uniform task costs the
-    /// rotation serves exactly one task per visit; the counter is kept so
-    /// weighted quanta slot in without changing the pop protocol.
-    std::size_t deficit = 0;
   };
   /// One priority class: its streams in round-robin rotation order. New
-  /// streams join at the back of the rotation; an emptied stream leaves it
-  /// (and forfeits any residual deficit).
+  /// streams join at the back of the rotation; an emptied stream leaves it.
   struct ClassQueue {
     std::list<StreamQueue> rotation;
   };
 
   void post_locked(std::function<void()>&& task, int priority,
                    std::uint64_t stream);
-  /// Pops the next task per policy: highest priority class, then
-  /// deficit-round-robin across that class's streams. Queue must be
+  /// Pops the next task per policy: highest priority class, then round
+  /// robin across that class's streams. Queue must be
   /// non-empty; mutex held by caller.
   [[nodiscard]] std::function<void()> pop_locked();
   void worker_loop();
@@ -113,7 +106,8 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::mutex mutex_;
   std::condition_variable work_cv_;
-  /// Priority classes, highest first; DRR across streams within a class.
+  /// Priority classes, highest first; round robin across streams within a
+  /// class.
   /// Emptied classes are erased so the common single-class case stays one
   /// rotation list.
   std::map<int, ClassQueue, std::greater<int>> queue_;

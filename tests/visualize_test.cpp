@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/circuit.hpp"
+#include "src/io/text_io.hpp"
 #include "src/machine/machine.hpp"
 #include "src/report/visualize.hpp"
 #include "src/runtime/mapper.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/error.hpp"
+#include "src/support/json.hpp"
 
 namespace automap {
 namespace {
@@ -102,6 +104,37 @@ TEST_F(VisualizeFixture, CopyEventsAppearWhenMemoriesMismatch) {
     if (e.kind == TraceEvent::Kind::kCopy) copy_found = true;
   // The mixed GPU/CPU mapping moves data between FrameBuffer and ZeroCopy.
   EXPECT_TRUE(copy_found);
+}
+
+TEST_F(VisualizeFixture, ChromeTraceEscapesControlBytesInTaskNames) {
+  // The graph reader accepts any non-blank byte in a task name, so a name
+  // may carry control bytes, quotes and backslashes; JSON allows none of
+  // them raw inside a string.
+  const std::string plain = app.graph.task(TaskId(0)).name;
+  const std::string odd = plain + "\x01\"q\\\x1f";
+  std::string text = task_graph_to_string(app.graph);
+  const std::size_t at = text.find("\ntask " + plain + " ");
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at + 6, plain.size(), odd);
+  const TaskGraph graph = task_graph_from_string(text);
+  ASSERT_EQ(graph.task(TaskId(0)).name, odd);
+
+  Simulator sim(machine, graph,
+                {.iterations = 1, .noise_sigma = 0.0, .record_trace = true});
+  const ExecutionReport report = sim.run(mapping, 1);
+  ASSERT_TRUE(report.ok);
+  const std::string json = render_chrome_trace(report);
+  // Only the trailing newline may be a raw control byte.
+  ASSERT_EQ(json.back(), '\n');
+  for (std::size_t i = 0; i + 1 < json.size(); ++i)
+    EXPECT_GE(static_cast<unsigned char>(json[i]), 0x20) << "byte " << i;
+  EXPECT_NE(json.find("\\u0001\\\"q\\\\\\u001f"), std::string::npos);
+
+  const JsonValue parsed = parse_json(json);
+  bool found = false;
+  for (const JsonValue& event : parsed.find("traceEvents")->array)
+    found |= event.str_or("name", "") == odd;
+  EXPECT_TRUE(found);
 }
 
 }  // namespace
