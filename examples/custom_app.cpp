@@ -17,7 +17,7 @@
 
 #include "src/automap/automap.hpp"
 #include "src/machine/machine.hpp"
-#include "src/report/analysis.hpp"
+#include "src/report/profile.hpp"
 #include "src/runtime/mapper.hpp"
 #include "src/runtime/partition.hpp"
 #include "src/runtime/program.hpp"
@@ -96,8 +96,15 @@ int main(int argc, char** argv) {
             << ")\n\n"
             << res.best.describe(graph);
 
-  const auto report = sim.run(res.best, 7);
+  // Where the tuned mapping's time goes: a noise-free traced rerun, as
+  // `automap_cli search --profile` makes.
+  Simulator traced(machine, graph,
+                   {.iterations = 10,
+                    .noise_sigma = 0.0,
+                    .record_trace = true});
+  const ExecutionReport report = traced.run(res.best, 1);
   if (report.ok)
-    std::cout << "\n" << render_analysis(graph, analyze_run(graph, report));
+    std::cout << "\n"
+              << render_profile(graph, compute_profile(graph, report));
   return 0;
 }

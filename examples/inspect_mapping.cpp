@@ -1,6 +1,7 @@
 // Developer utility: run the CCD search on a chosen app/input/nodes and
-// print the discovered mapping, its diff against the default mapper, and
-// per-task execution reports under both mappings.
+// print the discovered mapping's diff against the default mapper and the
+// execution profile (utilization, per-task breakdown, critical path) of
+// both mappings.
 //
 // Usage: inspect_mapping <circuit|stencil|pennant|htr> <nodes> <step>
 
@@ -14,11 +15,10 @@
 #include "src/apps/stencil.hpp"
 #include "src/automap/automap.hpp"
 #include "src/machine/machine.hpp"
-#include "src/report/analysis.hpp"
+#include "src/report/profile.hpp"
 #include "src/report/visualize.hpp"
 #include "src/runtime/mapper.hpp"
 #include "src/sim/simulator.hpp"
-#include "src/support/format.hpp"
 
 int main(int argc, char** argv) {
   using namespace automap;
@@ -41,34 +41,26 @@ int main(int argc, char** argv) {
   const SearchResult res =
       automap_optimize(sim, SearchAlgorithm::kCcd, {.seed = 42 + static_cast<std::uint64_t>(step)});
 
-  auto report = [&](const char* label, const Mapping& m) {
-    const auto r = sim.run(m, 99);
-    std::cout << label << ": total " << format_seconds(r.total_seconds)
-              << ", copies intra " << format_bytes(r.intra_node_copy_bytes)
-              << " inter " << format_bytes(r.inter_node_copy_bytes)
-              << " per iter\n";
-    for (const auto& tr : r.tasks) {
-      std::cout << "    " << app.graph.task(tr.task).name << ": compute "
-                << format_seconds(tr.compute_seconds) << ", wait "
-                << format_seconds(tr.copy_wait_seconds) << "\n";
-    }
-  };
-  report("default", def);
-  report("AM-CCD ", res.best);
-
-  std::cout << "\ndiff vs default:\n";
+  std::cout << render_search_summary(res) << "\n\ndiff vs default:\n";
   for (const auto& d : def.diff(res.best, app.graph))
     std::cout << "  " << d << "\n";
 
-  const auto base_report = sim.run(def, 99);
-  const auto best_report = sim.run(res.best, 99);
-  if (base_report.ok && best_report.ok) {
-    std::cout << "\nwhy the discovered mapping wins:\n"
-              << compare_runs(app.graph, base_report, best_report);
-    std::cout << "\nrun analysis of the discovered mapping:\n"
-              << render_analysis(app.graph,
-                                 analyze_run(app.graph, best_report));
-  }
+  // Noise-free traced reruns, as `automap_cli search --profile` makes.
+  Simulator traced(machine, app.graph,
+                   {.iterations = 10,
+                    .noise_sigma = 0.0,
+                    .record_trace = true});
+  auto profile = [&](const char* label, const Mapping& m) {
+    const ExecutionReport r = traced.run(m, 1);
+    std::cout << "\n" << label << " mapping ";
+    if (!r.ok) {
+      std::cout << "failed: " << r.failure << "\n";
+      return;
+    }
+    std::cout << render_profile(app.graph, compute_profile(app.graph, r));
+  };
+  profile("default", def);
+  profile("AM-CCD", res.best);
 
   std::cout << "\nFig. 3-style rendering:\n"
             << render_mapping(app.graph, res.best);

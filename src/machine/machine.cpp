@@ -20,13 +20,6 @@ MachineModel::MachineModel(std::string name, int num_nodes)
   AM_REQUIRE(num_nodes_ > 0, "a machine needs at least one node");
 }
 
-MachineModel MachineModel::with_nodes(int num_nodes) const {
-  MachineModel copy = *this;
-  AM_REQUIRE(num_nodes > 0, "a machine needs at least one node");
-  copy.num_nodes_ = num_nodes;
-  return copy;
-}
-
 void MachineModel::add_proc_group(const ProcGroup& group) {
   AM_REQUIRE(group.count_per_node > 0, "processor group needs instances");
   AM_REQUIRE(group.speed > 0.0, "processor speed must be positive");
@@ -200,12 +193,6 @@ int MachineModel::mems_per_node(MemKind k) const {
 
 std::uint64_t MachineModel::mem_capacity(MemKind k) const {
   return mem_group(k).capacity_bytes;
-}
-
-std::uint64_t MachineModel::total_capacity(MemKind k) const {
-  const auto& g = mem_group(k);
-  return g.capacity_bytes * static_cast<std::uint64_t>(g.count_per_node) *
-         static_cast<std::uint64_t>(num_nodes_);
 }
 
 std::string MachineModel::describe() const {

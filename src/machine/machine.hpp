@@ -77,10 +77,6 @@ class MachineModel {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] int num_nodes() const { return num_nodes_; }
 
-  /// Returns a copy of this machine scaled to a different node count
-  /// (used for the 1/2/4/8-node sweeps of the evaluation).
-  [[nodiscard]] MachineModel with_nodes(int num_nodes) const;
-
   // --- construction -------------------------------------------------------
 
   void add_proc_group(const ProcGroup& group);
@@ -142,8 +138,6 @@ class MachineModel {
   [[nodiscard]] int procs_per_node(ProcKind k) const;
   [[nodiscard]] int mems_per_node(MemKind k) const;
   [[nodiscard]] std::uint64_t mem_capacity(MemKind k) const;
-  /// Total capacity of a memory kind across the whole machine.
-  [[nodiscard]] std::uint64_t total_capacity(MemKind k) const;
 
   /// Human-readable multi-line description.
   [[nodiscard]] std::string describe() const;

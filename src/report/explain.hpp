@@ -42,8 +42,10 @@ struct ReplayOutcome {
 /// single-search journal (exactly one search_begin) that was not seeded
 /// from a profiles database — that depends on state the journal does not
 /// carry. A resumed search's journal is complete, so it replays like any
-/// other. `threads` sets the fresh run's worker count; by contract it
-/// cannot change the outcome.
+/// other. The options are read back only through the canonical codec, so
+/// a version-1 search_begin (flat option fields, no 'options'/'sim'
+/// objects) is refused. `threads` sets the fresh run's worker count; by
+/// contract it cannot change the outcome.
 [[nodiscard]] ReplayOutcome replay_journal(const MachineModel& machine,
                                            const TaskGraph& graph,
                                            const std::string& journal_text,

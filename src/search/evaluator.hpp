@@ -150,8 +150,8 @@ class Evaluator {
   [[nodiscard]] SearchResult finalize(std::string algorithm_name);
 
   /// Read-only accessors (best/stats/trajectory/profiles export) live on
-  /// EvaluatorView; pass a view to reporting code instead of the mutating
-  /// evaluator.
+  /// EvaluatorView; pass a view to code that only observes the search
+  /// instead of the mutating evaluator.
   [[nodiscard]] EvaluatorView view() const;
 
   /// If memory_fallbacks is on, returns a copy of `mapping` whose argument
@@ -430,10 +430,10 @@ class Evaluator {
   std::size_t replayed_ = 0;
 };
 
-/// Read-only window onto an Evaluator for reporting and analysis code: the
-/// best mapping so far, counters, the Fig. 9 trajectory and the profiles
-/// database export — none of the propose/charge/finalize machinery. Cheap
-/// to copy; valid as long as the evaluator it views.
+/// Read-only window onto an Evaluator for code that only observes the
+/// search: the best mapping so far, counters, the Fig. 9 trajectory and
+/// the profiles database export — none of the propose/charge/finalize
+/// machinery. Cheap to copy; valid as long as the evaluator it views.
 class EvaluatorView {
  public:
   explicit EvaluatorView(const Evaluator& eval) : eval_(&eval) {}

@@ -63,20 +63,6 @@ Aggregation parse_aggregation(const std::string& name) {
               "' (expected mean|median|trimmed_mean)");
 }
 
-/// Strict member decoders: wire requests and journal fingerprints must
-/// fail loudly on mistyped values, not silently fall back to defaults.
-bool json_bool(const JsonValue& v, const std::string& key) {
-  AM_REQUIRE(v.kind == JsonValue::Kind::kBool,
-             "field '" + key + "' must be a boolean");
-  return v.boolean;
-}
-
-std::string json_str(const JsonValue& v, const std::string& key) {
-  AM_REQUIRE(v.kind == JsonValue::Kind::kString,
-             "field '" + key + "' must be a string");
-  return v.string;
-}
-
 /// Doubles that may be non-finite travel as the quoted strings the
 /// journal writes ("inf"/"-inf"/"nan"); accept both shapes.
 double json_wide(const JsonValue& v, const std::string& key) {

@@ -80,16 +80,23 @@ SubmitSpec parse_submit(const JsonValue& request) {
   AM_REQUIRE(graph != nullptr && graph->kind == JsonValue::Kind::kString,
              "submit needs a 'graph' text field");
   spec.graph_text = graph->string;
-  spec.algorithm = request.str_or("algorithm", "ccd");
+  if (const JsonValue* algorithm = request.find("algorithm"))
+    spec.algorithm = json_str(*algorithm, "algorithm");
   if (const JsonValue* options = request.find("options"))
     spec.options = search_options_from_json(*options);
   if (const JsonValue* sim = request.find("sim"))
     spec.sim = sim_options_from_json(*sim);
   if (const JsonValue* priority = request.find("priority"))
     spec.priority = json_to_int<int>(*priority, "priority");
-  spec.want_journal = request.bool_or("journal", false);
-  spec.reuse_measurements = request.bool_or("reuse_measurements", false);
-  spec.deadline_ms = request.num_or("deadline_ms", 0);
+  if (const JsonValue* journal = request.find("journal"))
+    spec.want_journal = json_bool(*journal, "journal");
+  if (const JsonValue* reuse = request.find("reuse_measurements"))
+    spec.reuse_measurements = json_bool(*reuse, "reuse_measurements");
+  if (const JsonValue* deadline = request.find("deadline_ms")) {
+    AM_REQUIRE(deadline->kind == JsonValue::Kind::kNumber,
+               "field 'deadline_ms' must be a number");
+    spec.deadline_ms = deadline->number;
+  }
   // The upper bound keeps the later int64 cast and steady_clock addition
   // well-defined for any wire-supplied double (1e300 is valid JSON); NaN
   // fails both comparisons. ~A year is far beyond any real deadline.

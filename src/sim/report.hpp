@@ -112,10 +112,6 @@ struct ExecutionReport {
   /// (events/second), reported by the BM_SimThroughput* benchmarks and the
   /// automap_sim_events_total counter.
   std::uint64_t events = 0;
-  /// total_seconds / iterations — the per-iteration metric of Figure 9.
-  [[nodiscard]] double seconds_per_iteration() const {
-    return iterations > 0 ? total_seconds / iterations : total_seconds;
-  }
 
   /// Bytes moved by inferred copies, per iteration.
   std::uint64_t intra_node_copy_bytes = 0;

@@ -294,6 +294,18 @@ double JsonValue::wide_num_or(std::string_view key, double fallback) const {
   return fallback;
 }
 
+bool json_bool(const JsonValue& v, std::string_view key) {
+  AM_REQUIRE(v.kind == JsonValue::Kind::kBool,
+             "field '" + std::string(key) + "' must be a boolean");
+  return v.boolean;
+}
+
+std::string json_str(const JsonValue& v, std::string_view key) {
+  AM_REQUIRE(v.kind == JsonValue::Kind::kString,
+             "field '" + std::string(key) + "' must be a string");
+  return v.string;
+}
+
 JsonValue parse_json(std::string_view text) {
   return Parser(text).parse_document();
 }

@@ -77,6 +77,12 @@ template <typename T>
   return v != nullptr ? json_to_int<T>(*v, key) : fallback;
 }
 
+/// Strict member decoders: a mistyped value throws Error naming `key`
+/// instead of falling back to a default. Shared by the option codec and
+/// the service's `submit` parser.
+[[nodiscard]] bool json_bool(const JsonValue& v, std::string_view key);
+[[nodiscard]] std::string json_str(const JsonValue& v, std::string_view key);
+
 /// Parses one JSON document (throws Error on malformed input, with an
 /// offset in the message). Trailing whitespace is allowed; trailing
 /// content is an error.

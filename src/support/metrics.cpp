@@ -83,13 +83,6 @@ double Histogram::quantile(double q) const {
   return upper_bounds_.back();
 }
 
-std::string render_quantiles(const Histogram& histogram) {
-  if (histogram.count() == 0) return "p50=- p95=- p99=-";
-  return "p50=" + json_double(histogram.quantile(0.50)) +
-         " p95=" + json_double(histogram.quantile(0.95)) +
-         " p99=" + json_double(histogram.quantile(0.99));
-}
-
 MetricsRegistry::Entry* MetricsRegistry::find(const std::string& name) {
   for (auto& e : entries_) {
     if (e->name == name) return e.get();

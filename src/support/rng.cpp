@@ -38,6 +38,4 @@ double Rng::lognormal_factor_slow(double sigma) {
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
-Rng Rng::fork() { return Rng(next() ^ 0xa0761d6478bd642fULL); }
-
 }  // namespace automap

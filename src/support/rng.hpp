@@ -101,9 +101,6 @@ class Rng {
   /// True with probability p.
   bool bernoulli(double p);
 
-  /// Derives an independent child generator (for parallel replicas).
-  Rng fork();
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

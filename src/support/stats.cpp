@@ -60,20 +60,6 @@ void OnlineStats::merge(const OnlineStats& other) {
   max_ = std::max(max_, other.max_);
 }
 
-SampleSummary summarize(std::span<const double> samples) {
-  SampleSummary s;
-  s.count = samples.size();
-  if (samples.empty()) return s;
-  OnlineStats acc;
-  for (double x : samples) acc.add(x);
-  s.mean = acc.mean();
-  s.stddev = acc.stddev();
-  s.min = acc.min();
-  s.max = acc.max();
-  s.median = percentile(samples, 50.0);
-  return s;
-}
-
 double percentile(std::span<const double> samples, double p) {
   AM_REQUIRE(!samples.empty(), "percentile of empty sample set");
   AM_REQUIRE(p >= 0.0 && p <= 100.0, "percentile requires p in [0, 100]");

@@ -41,18 +41,6 @@ class OnlineStats {
   double max_ = 0.0;
 };
 
-/// Summary of a batch of samples.
-struct SampleSummary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double median = 0.0;
-};
-
-[[nodiscard]] SampleSummary summarize(std::span<const double> samples);
-
 /// p-th percentile (p in [0, 100]) by linear interpolation; requires a
 /// non-empty sample set.
 [[nodiscard]] double percentile(std::span<const double> samples, double p);

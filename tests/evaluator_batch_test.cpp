@@ -71,7 +71,7 @@ TEST(ThreadPool, EqualPriorityStreamsInterleaveDeficitRoundRobin) {
   // One worker drains the queue serially, so the pop order is observable.
   // A gate task blocks it while the stream queues build up: stream 1's
   // three tasks arrive strictly before stream 2's, so strict FIFO would
-  // drain 1,1,1,2,2,2 — deficit-round-robin must alternate them instead.
+  // drain 1,1,1,2,2,2 — round robin must alternate them instead.
   // A higher-priority stream posted last still preempts both.
   ThreadPool pool(2);
   std::mutex m;

@@ -333,20 +333,17 @@ TEST(Explain, RejectsNonIntegerJsonFields) {
                         {"\"forced\":[{", "task"},
                         {"\"forced\":[{", "arg"}};
 
-  // Version 1 journals spread the options over flat search_begin fields,
-  // which only replay reads.
-  const std::size_t opts = text.find("\"options\":{");
-  const std::size_t start = text.find("\"start\":", opts);
-  std::string v1 = text;
-  v1.replace(opts, start - opts,
-             "\"seed\":\"42\",\"rotations\":3,\"repeats\":3,\"top_k\":5,"
-             "\"final_repeats\":31,\"max_retries\":2,\"quarantine_after\":3,"
-             "\"frozen\":[0],\"sim_iterations\":10,");
-  v1 = with_value(v1, "\"type\":\"journal\"", "version", "1");
-  const char* replay_fields[] = {"rotations",    "repeats",
-                                 "top_k",        "final_repeats",
-                                 "max_retries",  "quarantine_after",
-                                 "sim_iterations"};
+  // Replay reads the recorded configuration from the canonical codec
+  // objects of search_begin: six integer options, the sim iteration count
+  // and the frozen task ids.
+  std::string v2 = text;
+  const std::size_t frozen = v2.find("\"frozen\":[]");
+  ASSERT_NE(frozen, std::string::npos);
+  v2.replace(frozen, 11, "\"frozen\":[0]");
+  const char* replay_fields[] = {"rotations",   "repeats",
+                                 "top_k",       "final_repeats",
+                                 "max_retries", "quarantine_after",
+                                 "iterations"};
 
   for (const std::string value : {"1e300", "2.5"}) {
     for (const auto& f : explain_fields) {
@@ -355,18 +352,45 @@ TEST(Explain, RejectsNonIntegerJsonFields) {
                          f.key, value);
     }
     for (const std::string key : replay_fields) {
-      const std::string bad = with_value(v1, "\"type\":\"search_begin\"",
+      const std::string bad = with_value(v2, "\"type\":\"search_begin\"",
                                          key, value);
       expect_field_error(
           [&] { (void)replay_journal(machine, app.graph, bad, 1); }, key,
           value);
     }
-    std::string bad_frozen = v1;
+    std::string bad_frozen = v2;
     bad_frozen.replace(bad_frozen.find("\"frozen\":[0]"), 12,
                        "\"frozen\":[" + value + "]");
     expect_field_error(
         [&] { (void)replay_journal(machine, app.graph, bad_frozen, 1); },
         "frozen", value);
+  }
+}
+
+TEST(Replay, RefusesAVersionOneSearchBegin) {
+  const BenchmarkApp app = make_app_by_name("stencil", 2, 1);
+  const MachineModel machine = make_shepard(2);
+  const std::string text = journal_of_stencil_ccd(1);
+  // Version 1 spread the options over flat search_begin fields instead of
+  // the canonical 'options'/'sim' objects.
+  const std::size_t opts = text.find("\"options\":{");
+  ASSERT_NE(opts, std::string::npos);
+  const std::size_t start = text.find("\"start\":", opts);
+  std::string v1 = text;
+  v1.replace(opts, start - opts,
+             "\"seed\":\"42\",\"rotations\":3,\"repeats\":3,"
+             "\"sim_iterations\":10,");
+  v1 = with_value(v1, "\"type\":\"journal\"", "version", "1");
+
+  // explain still reads it; replay refuses it with one line.
+  EXPECT_NO_THROW((void)render_explain(app.graph, v1));
+  try {
+    (void)replay_journal(machine, app.graph, v1, 1);
+    ADD_FAILURE() << "a version-1 search_begin was replayed";
+  } catch (const Error& e) {
+    const std::string message = e.what();
+    EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+    EXPECT_NE(message.find("'options'"), std::string::npos) << message;
   }
 }
 

@@ -133,21 +133,6 @@ TEST(Metrics, QuantileEdgeCases) {
   EXPECT_DOUBLE_EQ(boundless.quantile(0.5), 3.0);
 }
 
-TEST(Metrics, RenderQuantilesFormatsDeterministically) {
-  Histogram empty({1.0});
-  EXPECT_EQ(render_quantiles(empty), "p50=- p95=- p99=-");
-
-  Histogram h({1.0, 2.0, 4.0});
-  for (int i = 0; i < 4; ++i) h.observe(0.5);
-  for (int i = 0; i < 4; ++i) h.observe(1.5);
-  for (int i = 0; i < 2; ++i) h.observe(3.0);
-  const std::string line = render_quantiles(h);
-  EXPECT_EQ(line.rfind("p50=1.25 p95=3.5 p99=", 0), 0u) << line;
-  EXPECT_EQ(line, "p50=" + json_double(h.quantile(0.50)) +
-                      " p95=" + json_double(h.quantile(0.95)) +
-                      " p99=" + json_double(h.quantile(0.99)));
-}
-
 TEST(Metrics, ExposeRendersLabeledFamilies) {
   MetricsRegistry registry;
   registry.counter("automap_op_errors_total{op=\"submit\"}", "Errors")

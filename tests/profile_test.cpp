@@ -1,8 +1,9 @@
 // Tests for the execution observability layer (src/report/profile) and the
 // accounting bugfixes that ride with it: per-resource utilization bounds,
-// critical-path extraction, the Chrome-trace JSON exporter, OOM observation
-// time charging, the shared inter-node interconnect, and profiles-database
-// import validation/dedupe.
+// critical-path extraction, what the benchmark apps' mappings show in the
+// profile (task ranking, pool rows, copy wait), the Chrome-trace JSON
+// exporter, OOM observation time charging, the shared inter-node
+// interconnect, and profiles-database import validation/dedupe.
 
 #include <gtest/gtest.h>
 
@@ -14,9 +15,12 @@
 #include <utility>
 #include <vector>
 
+#include "src/apps/circuit.hpp"
+#include "src/apps/htr.hpp"
 #include "src/machine/machine.hpp"
 #include "src/report/profile.hpp"
 #include "src/report/visualize.hpp"
+#include "src/runtime/mapper.hpp"
 #include "src/search/evaluator.hpp"
 #include "src/search/search.hpp"
 #include "src/sim/simulator.hpp"
@@ -259,6 +263,85 @@ TEST(Profile, RequiresATracedSuccessfulRun) {
   const ExecutionReport report = untraced.run(Mapping(app.g), 1);
   ASSERT_TRUE(report.ok);
   EXPECT_THROW((void)compute_profile(app.g, report), Error);
+
+  // A trace alone does not make a failed run profilable.
+  Simulator traced(machine, app.g,
+                   {.iterations = 1, .noise_sigma = 0.0, .record_trace = true});
+  ExecutionReport failed = traced.run(Mapping(app.g), 1);
+  ASSERT_TRUE(failed.ok);
+  failed.ok = false;
+  EXPECT_THROW((void)compute_profile(app.g, failed), Error);
+}
+
+// --- profile: what the benchmark apps' mappings show ------------------------
+
+/// A noise-free traced HTR run on one Shepard node.
+ExecutionProfile htr_profile(const BenchmarkApp& app,
+                             const MachineModel& machine,
+                             const Mapping& mapping) {
+  Simulator sim(machine, app.graph,
+                {.iterations = 3, .noise_sigma = 0.0, .record_trace = true});
+  const ExecutionReport report = sim.run(mapping, 1);
+  EXPECT_TRUE(report.ok) << report.failure;
+  return compute_profile(app.graph, report);
+}
+
+TEST(Profile, HtrDefaultMappingRanksChemistryFirst) {
+  const BenchmarkApp app = make_htr(htr_config_for(1, 1));
+  const MachineModel machine = make_shepard(1);
+  DefaultMapper dm;
+  const ExecutionProfile profile =
+      htr_profile(app, machine, dm.map_all(app.graph, machine));
+  ASSERT_EQ(profile.tasks.size(), app.graph.num_tasks());
+  for (std::size_t i = 1; i < profile.tasks.size(); ++i)
+    EXPECT_GE(profile.tasks[i - 1].busy_seconds,
+              profile.tasks[i].busy_seconds);
+  EXPECT_EQ(app.graph.task(profile.tasks.front().task).name,
+            "chemistry_source");
+}
+
+TEST(Profile, OnlyTheMappedKindsPoolIsBusy) {
+  const BenchmarkApp app = make_htr(htr_config_for(1, 1));
+  const MachineModel machine = make_shepard(1);
+  for (const ProcKind kind : {ProcKind::kGpu, ProcKind::kCpu}) {
+    Mapping uniform(app.graph);
+    for (const GroupTask& t : app.graph.tasks()) {
+      uniform.at(t.id).proc = kind;
+      uniform.at(t.id).arg_memories.assign(t.args.size(),
+                                           {machine.best_memory_for(kind)});
+    }
+    const std::string pool = std::string(to_string(kind)) + " pool";
+    bool seen = false;
+    for (const ResourceUsage& row : htr_profile(app, machine, uniform)
+                                        .resources) {
+      if (!row.is_processor) continue;
+      if (row.resource == pool) {
+        seen = true;
+        EXPECT_GT(row.busy_seconds, 0.0) << pool;
+      } else {
+        EXPECT_EQ(row.busy_seconds, 0.0) << row.resource << " under " << pool;
+      }
+    }
+    EXPECT_TRUE(seen) << pool;
+  }
+}
+
+TEST(Profile, CopyWaitAppearsUnderMixedMappings) {
+  const BenchmarkApp app = make_circuit(circuit_config_for(1, 4));
+  const MachineModel machine = make_shepard(1);
+  Simulator sim(machine, app.graph,
+                {.iterations = 3, .noise_sigma = 0.0, .record_trace = true});
+  Mapping mixed(app.graph);
+  mixed.at(TaskId(1)).proc = ProcKind::kCpu;
+  mixed.at(TaskId(1)).arg_memories.assign(
+      app.graph.task(TaskId(1)).args.size(), {MemKind::kSystem});
+  const ExecutionReport report = sim.run(mixed, 1);
+  ASSERT_TRUE(report.ok) << report.failure;
+  const ExecutionProfile profile = compute_profile(app.graph, report);
+  EXPECT_TRUE(std::any_of(profile.tasks.begin(), profile.tasks.end(),
+                          [](const TaskTimeBreakdown& t) {
+                            return t.copy_wait_seconds > 0.0;
+                          }));
 }
 
 // --- Chrome-trace export ----------------------------------------------------

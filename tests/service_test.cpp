@@ -667,8 +667,8 @@ TEST(Service, EvalCacheBucketsEvictLeastRecentlyServed) {
 }
 
 TEST(Service, EqualPriorityJobsShareThePoolAndStayByteIdentical) {
-  // Two equal-priority jobs whose batches interleave deficit-round-robin
-  // on the shared pool: fair-share scheduling must not leak into results —
+  // Two equal-priority jobs whose batches interleave round robin on the
+  // shared pool: fair-share scheduling must not leak into results —
   // each answer stays byte-identical to the serial one-shot search.
   MappingService service({.store_dir = fresh_store("fairshare"),
                           .eval_threads = 4,
@@ -848,6 +848,43 @@ TEST(Service, OutOfRangeJobAndPriorityAreBadRequests) {
             "bad_request");
   EXPECT_TRUE(
       handle_json(service, "{\"op\":\"jobs\"}").find("jobs")->array.empty());
+}
+
+/// Submits `extra` on a valid request and expects a bad_request whose
+/// message names `field`, with no job created.
+void expect_mistyped_submit_field(const std::string& store,
+                                  const std::string& extra,
+                                  const std::string& field) {
+  MappingService service(
+      {.store_dir = fresh_store(store), .eval_threads = 1, .job_workers = 0});
+  const JsonValue refused =
+      handle_json(service, submit_request(small_options(7), extra));
+  EXPECT_EQ(refused.str_or("code", ""), "bad_request") << extra;
+  EXPECT_NE(refused.str_or("message", "").find("'" + field + "'"),
+            std::string::npos)
+      << refused.str_or("message", "");
+  EXPECT_TRUE(
+      handle_json(service, "{\"op\":\"jobs\"}").find("jobs")->array.empty());
+}
+
+TEST(Service, NonStringAlgorithmIsABadRequest) {
+  expect_mistyped_submit_field("typed-algorithm", ",\"algorithm\":7",
+                               "algorithm");
+}
+
+TEST(Service, NonBooleanJournalIsABadRequest) {
+  expect_mistyped_submit_field("typed-journal", ",\"journal\":\"yes\"",
+                               "journal");
+}
+
+TEST(Service, NonBooleanReuseMeasurementsIsABadRequest) {
+  expect_mistyped_submit_field("typed-reuse", ",\"reuse_measurements\":1",
+                               "reuse_measurements");
+}
+
+TEST(Service, NonNumericDeadlineIsABadRequest) {
+  expect_mistyped_submit_field("typed-deadline", ",\"deadline_ms\":\"100\"",
+                               "deadline_ms");
 }
 
 TEST(Service, RevivalPersistsTheAcceptedDeadline) {

@@ -84,12 +84,6 @@ TEST(Rng, LognormalSigmaZeroIsIdentity) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.lognormal_factor(0.0), 1.0);
 }
 
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng a(5);
-  Rng child = a.fork();
-  EXPECT_NE(a.next(), child.next());
-}
-
 TEST(Rng, RejectsBadArguments) {
   Rng rng(1);
   EXPECT_THROW(rng.uniform_index(0), Error);
@@ -135,16 +129,6 @@ TEST(Stats, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 4.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 2.5);
-}
-
-TEST(Stats, SummarizeBasics) {
-  const std::vector<double> xs = {3.0, 1.0, 2.0};
-  const SampleSummary s = summarize(xs);
-  EXPECT_EQ(s.count, 3u);
-  EXPECT_DOUBLE_EQ(s.mean, 2.0);
-  EXPECT_DOUBLE_EQ(s.median, 2.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 3.0);
 }
 
 TEST(Stats, GeometricMean) {
